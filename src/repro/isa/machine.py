@@ -123,7 +123,7 @@ class Machine:
         return f"{self.program.name}.{suffix}" if self.program.name else ""
 
     def instruction_trace(self, name: str = "") -> Trace:
-        """The fetch-address trace collected so far."""
+        """The fetch-address trace collected so far, tagged ``FETCH``."""
         fetch = AccessKind.FETCH.value
         addresses = [
             addr for addr, kind in zip(self._taddr, self._tkind) if kind == fetch
@@ -131,6 +131,7 @@ class Machine:
         return Trace(
             addresses,
             address_bits=self.program.address_bits,
+            kinds=[AccessKind.FETCH] * len(addresses),
             name=name or self._default_name("inst"),
         )
 

@@ -21,6 +21,7 @@ from repro.serve.pool import (
     POOL_KINDS,
     BoundedPool,
     WorkerPool,
+    execute_request,
     execute_wire_request,
 )
 from repro.serve.protocol import (
@@ -63,6 +64,7 @@ __all__ = [
     "SessionManager",
     "WorkerPool",
     "batch_from_wire",
+    "execute_request",
     "execute_wire_request",
     "parse_metrics",
     "render_metrics",

@@ -18,13 +18,16 @@ Three backends share the interface:
   deterministic, used by protocol-level tests.
 
 :class:`WorkerPool` keeps the daemon-specific parts: it runs
-:func:`execute_wire_request` for each admitted request — decode the
-wire document, attach a fresh per-request recorder (and, when the
-daemon was given a cache root, a fresh :class:`repro.store.ArtifactStore`
-pointed at the shared root), execute, and encode the response document.
-Everything that crosses the executor boundary is a plain JSON-shaped
-dict, so the process backend pickles only small structures and never a
-live store/recorder.
+:func:`execute_request` for each admitted request — the daemon has
+already decoded the wire document (once, on the event loop), so the
+worker receives the :class:`~repro.core.request.ExplorationRequest`
+itself, attaches a fresh per-request recorder (and, when the daemon was
+given a cache root, a fresh :class:`repro.store.ArtifactStore` pointed
+at the shared root), executes, and encodes the response document.  The
+process backend pickles the request — traces travel as packed
+``array('q')`` buffers — and never a live store/recorder.
+:func:`execute_wire_request` is the decode-plus-execute form for
+callers holding a wire document.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from concurrent.futures import (
 from dataclasses import replace
 from typing import Callable, Dict, Optional
 
-from repro.core.request import explore_request
+from repro.core.request import ExplorationRequest, explore_request
 from repro.obs import Recorder, RunManifest
 from repro.serve.protocol import request_from_wire, response_to_wire
 
@@ -46,10 +49,10 @@ from repro.serve.protocol import request_from_wire, response_to_wire
 POOL_KINDS = ("process", "thread", "inline")
 
 
-def execute_wire_request(
-    document: Dict, store_root: Optional[str] = None
+def execute_request(
+    request: ExplorationRequest, store_root: Optional[str] = None
 ) -> Dict:
-    """Run one wire request end to end; returns the response document.
+    """Run one decoded request end to end; returns the response document.
 
     This is the function worker processes execute; it must stay
     module-level (picklable) and self-contained: it builds its own
@@ -57,7 +60,6 @@ def execute_wire_request(
     state — workers meeting at the same store *root* is safe by the
     store's own atomic-rename design.
     """
-    request = request_from_wire(document)
     recorder = Recorder()
     store = None
     if store_root is not None:
@@ -85,6 +87,13 @@ def execute_wire_request(
         },
     )
     return response_to_wire(report, manifest=manifest.to_json_dict())
+
+
+def execute_wire_request(
+    document: Dict, store_root: Optional[str] = None
+) -> Dict:
+    """Decode one wire request and run it (:func:`execute_request`)."""
+    return execute_request(request_from_wire(document), store_root)
 
 
 class BoundedPool:
@@ -169,7 +178,9 @@ class WorkerPool:
             (``None`` disables warm-starting).
         execute: override of the execution function — the test battery
             injects counting/slow executables here.  Must accept
-            ``(document, store_root)`` and return a response document.
+            ``(request, store_root)``, ``request`` being the decoded
+            :class:`~repro.core.request.ExplorationRequest`, and return
+            a response document.
     """
 
     def __init__(
@@ -177,7 +188,9 @@ class WorkerPool:
         workers: int = 2,
         kind: str = "process",
         store_root: Optional[str] = None,
-        execute: Optional[Callable[[Dict, Optional[str]], Dict]] = None,
+        execute: Optional[
+            Callable[[ExplorationRequest, Optional[str]], Dict]
+        ] = None,
     ) -> None:
         if execute is not None and kind == "process":
             raise ValueError("custom execute functions need kind=thread|inline")
@@ -187,7 +200,7 @@ class WorkerPool:
         self.workers = workers
         self.kind = kind
         self.store_root = store_root
-        self._execute = execute or execute_wire_request
+        self._execute = execute or execute_request
 
     @property
     def submitted(self) -> int:
@@ -209,9 +222,9 @@ class WorkerPool:
         """Executions waiting for a free worker (0 when none queue)."""
         return self._pool.queue_depth
 
-    async def run(self, document: Dict) -> Dict:
-        """Execute one wire request on the pool; awaitable."""
-        future = self._pool.submit(self._execute, document, self.store_root)
+    async def run(self, request: ExplorationRequest) -> Dict:
+        """Execute one decoded request on the pool; awaitable."""
+        future = self._pool.submit(self._execute, request, self.store_root)
         return await asyncio.wrap_future(future)
 
     def shutdown(self, wait: bool = True) -> None:

@@ -21,13 +21,21 @@ Wire documents:
 :func:`request_key` derives the in-flight dedup identity: the SHA-256
 of the canonical request JSON with each trace replaced by its content
 digest — two requests that would compute the same thing share one key
-even when their traces arrived under different names.
+even when their traces arrived under different names.  It keys an
+already-decoded request, so the daemon parses each document once.
+
+Address and kind lists — the only parts of a document that grow with
+the trace — are checked in bulk (element types as one set, then
+``array('q')``), falling back to an item-by-item walk only to name the
+first bad element, so the error text is the item-by-item one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from array import array
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.linesize import LineSizeExplorer
@@ -83,6 +91,12 @@ BATCH_RESPONSE_SCHEMA = "repro-serve-batch-response/1"
 #: Wire fields of a trace object.
 TRACE_FIELDS = ("name", "address_bits", "addresses", "kinds")
 
+#: The wire labels of the access kinds, the kind of each label, and the
+#: label of a kind.
+_KIND_LABELS = bytes(kind.value for kind in AccessKind)
+_KIND_BY_LABEL = {kind.value: kind for kind in AccessKind}
+_KIND_VALUE = attrgetter("_value_")
+
 
 class ProtocolError(ValueError):
     """A wire document failed validation (the server answers 400)."""
@@ -130,6 +144,20 @@ def _int_list(value: object, what: str) -> List[int]:
     return [_int(item, f"{what}[{i}]") for i, item in enumerate(value)]
 
 
+def _address_list(value: object, what: str) -> List[int]:
+    """:func:`_int_list` for long address lists, checked in bulk.
+
+    One pass collects the element types; only a list holding something
+    other than plain ints is walked item by item, so the first bad item
+    is reported exactly as :func:`_int_list` reports it.
+    """
+    if not isinstance(value, list):
+        raise ProtocolError(f"{what} must be a list")
+    if not set(map(type, value)) <= {int}:
+        return _int_list(value, what)
+    return value
+
+
 # -- traces ---------------------------------------------------------------------
 
 
@@ -137,13 +165,43 @@ def trace_to_wire(trace: Trace) -> Dict:
     """A trace as a wire object."""
     kinds: Optional[List[int]] = None
     if trace.has_kinds:
-        kinds = [trace.kind(i).value for i in range(len(trace))]
+        kinds = list(map(_KIND_VALUE, trace.kinds))
     return {
         "name": trace.name,
         "address_bits": trace.address_bits,
-        "addresses": list(trace.addresses),
+        "addresses": trace.addresses.tolist(),
         "kinds": kinds,
     }
+
+
+def _kinds_from_wire(kinds_wire: object) -> List[AccessKind]:
+    """Wire kind labels as :class:`AccessKind` values (strict)."""
+    if isinstance(kinds_wire, list) and set(map(type, kinds_wire)) <= {int}:
+        try:
+            labels = bytes(kinds_wire)
+        except ValueError:  # a label outside 0..255
+            labels = None
+        # Deleting every known label must leave nothing behind.
+        if labels is not None and not labels.translate(None, _KIND_LABELS):
+            return list(map(_KIND_BY_LABEL.__getitem__, labels))
+    # Something is off: the item-by-item walk names the first bad kind.
+    try:
+        return [AccessKind(_int(k, "trace.kinds[]")) for k in kinds_wire]
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"trace.kinds: {exc}") from exc
+
+
+def _packed_addresses(addresses: List[int]) -> array:
+    """Checked wire addresses as ``array('q')``; beyond 64-bit signed is a
+    ``ValueError`` in the words of :class:`Trace`'s own checks."""
+    try:
+        return array("q", addresses)
+    except OverflowError:
+        if min(addresses) < 0:
+            raise ValueError("trace addresses must be non-negative") from None
+        raise ValueError(
+            f"address {max(addresses):#x} does not fit in 63 bits"
+        ) from None
 
 
 def trace_from_wire(document: object) -> Trace:
@@ -153,22 +211,17 @@ def trace_from_wire(document: object) -> Trace:
     for field in TRACE_FIELDS:
         if field not in document:
             raise ProtocolError(f"trace: missing field {field!r}")
-    addresses = _int_list(document["addresses"], "trace.addresses")
+    addresses = _address_list(document["addresses"], "trace.addresses")
     kinds_wire = document["kinds"]
-    kinds = None
-    if kinds_wire is not None:
-        try:
-            kinds = [
-                AccessKind(_int(k, "trace.kinds[]")) for k in kinds_wire
-            ]
-        except ValueError as exc:
-            raise ProtocolError(f"trace.kinds: {exc}") from exc
+    kinds = None if kinds_wire is None else _kinds_from_wire(kinds_wire)
     try:
+        address_bits = _int(document["address_bits"], "trace.address_bits")
+        name = _str(document["name"], "trace.name")
         return Trace(
-            addresses,
-            address_bits=_int(document["address_bits"], "trace.address_bits"),
+            _packed_addresses(addresses),
+            address_bits=address_bits,
             kinds=kinds,
-            name=_str(document["name"], "trace.name"),
+            name=name,
         )
     except ValueError as exc:
         raise ProtocolError(f"trace: {exc}") from exc
@@ -301,16 +354,22 @@ def request_from_wire(document: object) -> ExplorationRequest:
 
 
 def request_key(document: object) -> str:
-    """The in-flight dedup identity of a request wire document.
+    """The in-flight dedup identity of a request.
 
-    Validates the document (so a malformed request can never poison the
-    dedup table), then hashes the canonical JSON with each trace
-    replaced by its content digest: requests differing only in trace
-    *names* or field order share a key; requests differing in any
+    Takes a decoded :class:`ExplorationRequest` (what the daemon holds
+    after its one :func:`request_from_wire` call) or a wire document,
+    which is decoded and validated first (so a malformed request can
+    never poison the dedup table).  Hashes the canonical JSON with each
+    trace replaced by its content digest: requests differing only in
+    trace *names* or field order share a key; requests differing in any
     parameter that could change the answer (or the machinery asked to
     produce it) do not.
     """
-    request = request_from_wire(document)
+    request = (
+        document
+        if isinstance(document, ExplorationRequest)
+        else request_from_wire(document)
+    )
     # The scenario triple is keyed from the *parsed* request, so a /1 or
     # /1.1 document (no scenario block) and a /1.2 document carrying the
     # default scenario hash identically — dedup is unified across

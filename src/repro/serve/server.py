@@ -19,9 +19,10 @@ framework), because the protocol surface is four routes:
   latency percentiles;
 * ``GET /healthz`` — liveness + drain state.
 
-Request flow: decode and *validate* on the event loop (cheap), compute
-the request's dedup key, then join the in-flight table — the first
-arrival dispatches to the worker pool, concurrent identical arrivals
+Request flow: decode and *validate* the wire document once on the
+event loop (bulk checks, no per-reference Python loop), key the decoded
+request, then join the in-flight table — the first arrival hands the
+decoded request to the worker pool, concurrent identical arrivals
 await the same computation and receive the byte-identical response.
 The content-addressed store (when configured) warm-starts repeats that
 are no longer concurrent, so the dedup table stays small: it only ever
@@ -40,6 +41,7 @@ import json
 from typing import Dict, Optional, Set, Tuple
 
 from repro import __version__
+from repro.core.request import ExplorationRequest
 from repro.obs import Recorder
 from repro.serve.dedup import InFlightTable
 from repro.serve.metrics import Reservoir, render_metrics
@@ -48,6 +50,7 @@ from repro.serve.protocol import (
     BATCH_RESPONSE_SCHEMA,
     ProtocolError,
     batch_from_wire,
+    request_from_wire,
     request_key,
 )
 from repro.serve.sessions import (
@@ -483,12 +486,11 @@ class ExploreServer:
 
     async def _handle_explore(self, body: bytes) -> Tuple[int, str, bytes]:
         try:
-            document = _parse_json(body)
-            key = request_key(document)
+            request = request_from_wire(_parse_json(body))
         except ProtocolError as exc:
             return 400, _JSON, _error_body(400, str(exc))
         try:
-            response = await self._run_deduped(key, document)
+            response = await self._run_deduped(request)
         except Exception as exc:  # worker failure: report, don't die
             return 500, _JSON, _error_body(500, f"execution failed: {exc}")
         return 200, _JSON, _json_body(response)
@@ -496,17 +498,15 @@ class ExploreServer:
     async def _handle_batch(self, body: bytes) -> Tuple[int, str, bytes]:
         try:
             envelope = _parse_json(body)
-            members = batch_from_wire(envelope)
-            keys = [request_key(member) for member in members]
+            requests = [
+                request_from_wire(member) for member in batch_from_wire(envelope)
+            ]
         except ProtocolError as exc:
             return 400, _JSON, _error_body(400, str(exc))
         self.recorder.count("serve_batch_requests_total")
         try:
             responses = await asyncio.gather(
-                *(
-                    self._run_deduped(key, member)
-                    for key, member in zip(keys, members)
-                )
+                *(self._run_deduped(request) for request in requests)
             )
         except Exception as exc:
             return 500, _JSON, _error_body(500, f"execution failed: {exc}")
@@ -518,14 +518,15 @@ class ExploreServer:
             ),
         )
 
-    async def _run_deduped(self, key: str, document: Dict) -> Dict:
-        """One validated request through dedup, pool, and telemetry."""
+    async def _run_deduped(self, request: ExplorationRequest) -> Dict:
+        """One decoded request through dedup, pool, and telemetry."""
+        key = request_key(request)
         loop = asyncio.get_running_loop()
         start = loop.time()
         self.recorder.count("serve_requests_total")
 
         async def compute() -> Dict:
-            response = await self.pool.run(document)
+            response = await self.pool.run(request)
             store_stats = response.get("report", {}).get("store")
             if store_stats:
                 self.recorder.count(

@@ -33,7 +33,15 @@ import itertools
 import secrets
 from typing import Dict, List, Optional
 
-from repro.serve.protocol import ProtocolError, _bool, _check_fields, _int, _int_list, _require_dict, _str
+from repro.serve.protocol import (
+    ProtocolError,
+    _address_list,
+    _bool,
+    _check_fields,
+    _int,
+    _require_dict,
+    _str,
+)
 from repro.stream import TraceSession
 
 #: Schema identifier of the session-create document.
@@ -209,7 +217,7 @@ def parse_append(document: object) -> Dict[str, object]:
     _check_fields(document, APPEND_FIELDS, "append")
     if "addresses" not in document:
         raise ProtocolError("append: missing field 'addresses'")
-    addresses = _int_list(document["addresses"], "append.addresses")
+    addresses = _address_list(document["addresses"], "append.addresses")
     return {
         "addresses": addresses,
         "checkpoint": _bool(

@@ -22,6 +22,7 @@ Three on-disk formats are supported, each optionally gzip-compressed
 from __future__ import annotations
 
 import csv
+import functools
 import gzip
 import io
 import os
@@ -95,7 +96,27 @@ def write_dinero_trace(trace: Trace, path: PathLike) -> None:
 
 
 def read_dinero_trace(path: PathLike, address_bits: Optional[int] = None) -> Trace:
-    """Read a dinero III trace, preserving access kinds."""
+    """Read a dinero III trace, preserving access kinds.
+
+    A file of canonical ``<0-2> <1-15 hex digits>\\n`` lines (what
+    :func:`write_dinero_trace` writes) is decoded in one NumPy pass over
+    its bytes.  Anything else — comments, blank lines, tabs, CRLF,
+    other labels, longer addresses, or no NumPy — is read line by line,
+    and only that loop reports malformed lines.
+    """
+    name = os.path.basename(_strip_gz(path))
+    with _open_binary(path, "r") as fh:
+        scanned = _scan_dinero(fh.read())
+    if scanned is None:
+        return _read_dinero_lines(path, address_bits, name)
+    addresses, kinds = scanned
+    return Trace(addresses, address_bits=address_bits, kinds=kinds, name=name)
+
+
+def _read_dinero_lines(
+    path: PathLike, address_bits: Optional[int], name: str
+) -> Trace:
+    """The general dinero reader: one line at a time."""
     addresses: List[int] = []
     kinds: List[AccessKind] = []
     with _open_text(path, "r") as fh:
@@ -108,12 +129,82 @@ def read_dinero_trace(path: PathLike, address_bits: Optional[int] = None) -> Tra
                 raise ValueError(f"{path}:{lineno}: malformed dinero line: {line!r}")
             kinds.append(AccessKind.from_din(int(parts[0])))
             addresses.append(int(parts[1], 16))
-    return Trace(
-        addresses,
-        address_bits=address_bits,
-        kinds=kinds,
-        name=os.path.basename(_strip_gz(path)),
-    )
+    return Trace(addresses, address_bits=address_bits, kinds=kinds, name=name)
+
+
+#: Longest address the bulk scan decodes: 15 hex digits stay below 2**63.
+_SCAN_HEX_DIGITS = 15
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_tables():
+    """Lookup tables of the bulk dinero scan: each byte's hex digit value
+    (-1 for a non-digit) and the :class:`AccessKind` of each label."""
+    import numpy as np
+
+    values = np.full(256, -1, dtype=np.int8)
+    for byte in b"0123456789abcdefABCDEF":
+        values[byte] = int(chr(byte), 16)
+    kinds = np.array([AccessKind.from_din(label) for label in range(3)], dtype=object)
+    return values, kinds
+
+
+def _scan_dinero(data: bytes):
+    """Decode canonical dinero lines in bulk; ``None`` when not canonical.
+
+    Every line must be a label byte ``0``-``2``, one space and 1-15 hex
+    digits, ended by ``\\n`` (the last line may omit it).  Returns the
+    ``array('q')`` addresses and the list of kinds.
+    """
+    try:
+        import numpy as np
+    except ImportError:
+        return None
+    hex_values, kinds_by_label = _scan_tables()
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # Line ends (a missing last newline counts as one past the end).
+    # Positions fit int32 below 2 GiB, halving the index arrays.
+    index_type = np.int32 if len(buf) < 2**31 - 1 else np.int64
+    ends = np.flatnonzero(buf == ord("\n")).astype(index_type)
+    if len(buf) and buf[-1] != ord("\n"):
+        ends = np.append(ends, index_type(len(buf)))
+    if not len(ends):
+        return array("q"), []
+    digits = np.diff(ends, prepend=index_type(-1))
+    digits -= 3  # the label, the space and the newline
+    widest = int(digits.max())
+    if digits.min() < 1 or widest > _SCAN_HEX_DIGITS:
+        return None
+    # Besides the newlines, the only non-hex byte of a canonical line is
+    # the space after its label.
+    values = hex_values[buf]
+    spaces_and_newlines = len(buf) - int(digits.sum(dtype=np.int64)) - len(ends)
+    at = ends - digits
+    at -= 1
+    if np.count_nonzero(values < 0) != spaces_and_newlines or not np.all(
+        buf[at] == ord(" ")
+    ):
+        return None
+    at -= 1
+    labels = values[at]
+    if labels.max() > 2:
+        return None
+    addresses = np.zeros(len(ends), dtype=np.int64)
+    # Index arrays are dropped as soon as they are spent, so the scan's
+    # peak memory stays at the line loop's.
+    np.subtract(ends, widest, out=at)
+    del ends
+    for offset in range(widest, 0, -1):
+        # A line with fewer than ``offset`` digits stays 0 until its
+        # first digit comes up.
+        addresses *= 16
+        addresses += np.where(digits >= offset, values[at], 0)
+        at += 1
+    del at, digits, values
+    packed = array("q")
+    packed.frombytes(addresses.view(np.uint8))
+    del addresses
+    return packed, kinds_by_label[labels].tolist()
 
 
 # -- csv format ------------------------------------------------------------------

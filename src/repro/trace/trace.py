@@ -49,8 +49,11 @@ class Trace:
         kinds: Optional[Sequence[AccessKind]] = None,
         name: str = "",
     ) -> None:
-        addrs = array("q", (int(a) for a in addresses))
-        if any(a < 0 for a in addrs):
+        if isinstance(addresses, array) and addresses.typecode == "q":
+            addrs = array("q", addresses)  # one C-level copy
+        else:
+            addrs = array("q", (int(a) for a in addresses))
+        if len(addrs) and min(addrs) < 0:
             raise ValueError("trace addresses must be non-negative")
         max_addr = max(addrs) if len(addrs) else 0
         if address_bits is None:
@@ -122,6 +125,11 @@ class Trace:
     def address_bits(self) -> int:
         """Number of significant address bits."""
         return self._address_bits
+
+    @property
+    def kinds(self) -> Optional[Sequence[AccessKind]]:
+        """Per-reference access kinds, or ``None`` when untyped."""
+        return self._kinds
 
     @property
     def has_kinds(self) -> bool:

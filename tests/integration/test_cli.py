@@ -240,6 +240,29 @@ class TestEmitUnified:
         assert AccessKind.READ in kinds
 
 
+class TestEmitInstructionKinds:
+    def test_instruction_lines_are_labelled_fetch(self, tmp_path, capsys):
+        """dinero label 2 marks an instruction fetch (docs/isa.md)."""
+        out_file = tmp_path / "crc.inst.din"
+        assert main(
+            ["emit", "crc", "--kind", "inst", "--scale", "tiny", "-o", str(out_file)]
+        ) == 0
+        lines = out_file.read_text().splitlines()
+        assert lines
+        assert all(line.startswith("2 ") for line in lines)
+
+    def test_fetch_labels_leave_the_digest_alone(self):
+        from repro.store.keys import trace_digest
+        from repro.trace.reference import AccessKind
+        from repro.trace.trace import Trace
+        from repro.workloads import run_workload_by_name
+
+        inst = run_workload_by_name("crc", scale="tiny").instruction_trace
+        assert set(inst.kinds) == {AccessKind.FETCH}
+        untyped = Trace(inst.addresses, address_bits=inst.address_bits)
+        assert trace_digest(inst) == trace_digest(untyped)
+
+
 class TestPhases:
     def test_phase_table(self, trace_file, capsys):
         assert main(

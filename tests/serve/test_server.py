@@ -28,14 +28,14 @@ def slow_counting_execute(delay: float = 0.4):
     state = {"calls": 0}
     lock = threading.Lock()
 
-    def execute(document, store_root=None):
+    def execute(request, store_root=None):
         with lock:
             state["calls"] += 1
             tag = state["calls"]
         time.sleep(delay)
         return {
             "schema": RESPONSE_SCHEMA,
-            "report": {"tag": tag, "budgets": document.get("budgets")},
+            "report": {"tag": tag, "budgets": list(request.budgets)},
         }
 
     execute.state = state
@@ -221,7 +221,7 @@ class TestErrorPaths:
         assert server.client()._call("GET", "/v1/explore")[0] == 405
 
     def test_worker_failure_is_500(self, live_server, tiny_request) -> None:
-        def explode(document, store_root=None):
+        def explode(request, store_root=None):
             raise RuntimeError("worker exploded")
 
         server = live_server(
