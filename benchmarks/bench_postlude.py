@@ -14,12 +14,7 @@ Timing and memory sampling go through :mod:`repro.obs` — the same
 recorder the pipeline itself is instrumented with (``repro profile``),
 so the harness measures exactly what a profiled production run reports.
 Timing excludes the prelude (strip / zero-one sets / MRCT are built
-once per trace before the clock starts) for the engines that consume
-prelude products; the streaming engine's single pass over the raw trace
-*is* its whole job, so its wall time covers that pass.  The streaming
-engine is skipped on traces longer than ``STREAMING_MAX_REFS`` — its
-per-reference LRU-stack cost makes multi-hundred-thousand-reference
-runs take minutes, which is exactly what the other engines are for.
+once per trace before the clock starts).
 
 JSON schema (``validate_results`` enforces it)::
 
@@ -64,9 +59,6 @@ from repro.trace.synthetic import (
 from repro.trace.trace import Trace
 
 SCHEMA = "repro-bench-postlude/1"
-
-#: Skip the streaming engine above this trace length (see module docstring).
-STREAMING_MAX_REFS = 120_000
 
 #: Required result-row fields and their types.
 RESULT_FIELDS = {
@@ -140,20 +132,19 @@ def _time_engine(
     dispatch) is the timed region, so the harness and ``repro profile``
     report the same quantity.
     """
-    options = spec.filter_options({"processes": 2})
     best = float("inf")
     histograms = None
     try:
         for _ in range(max(1, repeats)):
             recorder = Recorder()
             inputs.recorder = recorder
-            histograms = spec.compute(inputs, **options)
+            histograms = spec.compute(inputs)
             best = min(best, recorder.find(f"engine:{spec.name}").duration_s)
         peak = 0
         if measure_memory:
             recorder = Recorder(memory=True)
             inputs.recorder = recorder
-            spec.compute(inputs, **options)
+            spec.compute(inputs)
             peak = recorder.memory_stats.get("tracemalloc_peak_bytes", 0)
     finally:
         inputs.recorder = NULL_RECORDER
@@ -179,13 +170,6 @@ def run_bench(
         levels = max(reference, default=0)
         for name in engine_names:
             spec = engines.get_engine(name)
-            if name == "streaming" and len(trace) > STREAMING_MAX_REFS:
-                print(
-                    f"  [skip] streaming on {trace.name} "
-                    f"(N={len(trace)} > {STREAMING_MAX_REFS})",
-                    file=sys.stderr,
-                )
-                continue
             wall, peak, histograms = _time_engine(
                 spec, inputs, repeats, measure_memory
             )

@@ -188,7 +188,6 @@ def _scenario_from_args(args: argparse.Namespace):
 
     return ScenarioSpec(
         engine=getattr(args, "engine", "auto"),
-        processes=getattr(args, "processes", 2),
         prelude=getattr(args, "prelude", "auto"),
         max_depth=getattr(args, "max_depth", None) or None,
         include_depth_one=getattr(args, "include_depth_one", False),
@@ -332,7 +331,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     explorer = AnalyticalCacheExplorer(
         trace,
         engine=args.engine,
-        processes=args.processes,
         prelude=args.prelude,
         recorder=recorder,
         store=_resolve_store(args),
@@ -374,14 +372,13 @@ def _cmd_engines(args: argparse.Namespace) -> int:
             spec.name,
             "yes" if spec.available() else "no (NumPy missing)",
             spec.summary,
-            ", ".join(spec.options) or "-",
             spec.best_for,
         ]
         for spec in (engines.get_engine(n) for n in engines.engine_names(False))
     ]
     print(
         format_table(
-            ["Engine", "Available", "Summary", "Options", "Best for"],
+            ["Engine", "Available", "Summary", "Best for"],
             rows,
             title="histogram engines (all bit-identical)",
         )
@@ -391,11 +388,12 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         f">= {engines.AUTO_MIN_REFS} references "
         f"(>= {engines.AUTO_MIN_REFS_POSTLUDE} when the MRCT is already "
         f"built) and >= {engines.AUTO_MIN_UNIQUE} unique addresses, "
-        f"else 'serial'; 'parallel-shm' at "
-        f">= {engines.AUTO_MIN_REFS_PARALLEL_SHM} references on multi-CPU "
-        f"hosts; 'parallel' and 'streaming' are explicit-only "
-        f"(see BENCH_postlude.json, BENCH_parallel.json)"
+        f"else 'serial' (see BENCH_postlude.json)"
     )
+    aliases = ", ".join(
+        f"{alias} -> {target}" for alias, target in engines.ALIASES.items()
+    )
+    print(f"legacy names: {aliases}")
     return 0
 
 
@@ -427,12 +425,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     engines = tuple(args.engines) if args.engines else None
     preludes = tuple(args.preludes) if args.preludes else None
     max_traces = args.max_traces
-    if args.smoke:
-        # PR-lane preset: a fast sub-grid unless the user overrode it.
-        engines = engines or ("serial", "vectorized")
-        preludes = preludes or ("python", "fast")
-        if max_traces is None and args.budget is None:
-            max_traces = 8
+    if args.smoke and max_traces is None and args.budget is None:
+        # PR-lane preset: the full grid over a few traces.
+        max_traces = 8
     corpus_dir = args.corpus_dir
     if corpus_dir is None and not args.no_corpus:
         corpus_dir = default_corpus_dir()
@@ -445,7 +440,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         include_warm=not args.no_warm,
         laws=args.laws,
         policies=tuple(args.policies) if args.policies else (),
-        processes=args.processes,
         corpus_dir=None if args.no_corpus else corpus_dir,
         shrink=not args.no_shrink,
         fail_fast=args.fail_fast,
@@ -1436,9 +1430,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="histogram engine (default: auto)",
     )
     p.add_argument(
-        "--processes", type=int, default=2, help="parallel-engine workers"
-    )
-    p.add_argument(
         "--prelude",
         default="auto",
         choices=list(_engines.PRELUDE_MODES),
@@ -1512,9 +1503,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(policy engine vs simulator, every (D, A) cell)",
     )
     p.add_argument(
-        "--processes", type=int, default=2, help="parallel-engine workers"
-    )
-    p.add_argument(
         "--corpus-dir",
         metavar="DIR",
         help="failure corpus (replayed first, crashes persisted here; "
@@ -1536,8 +1524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--smoke",
         action="store_true",
-        help="PR-lane preset: serial+vectorized, python+fast preludes, "
-        "8 traces",
+        help="PR-lane preset: the full 12-cell grid over 8 traces",
     )
     p.add_argument(
         "--json", action="store_true", help="emit the JSON report to stdout"

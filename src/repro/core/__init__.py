@@ -71,11 +71,6 @@ from repro.core.linesize import (
     explore_line_sizes,
 )
 from repro.core.multi import MultiTraceExplorer, MultiTraceResult
-from repro.core.parallel import (
-    compute_level_histograms_parallel,
-    compute_level_histograms_parallel_shm,
-    shutdown_worker_pool,
-)
 from repro.core.streaming import compute_level_histograms_streaming
 from repro.core.vectorized import (
     compute_level_histograms_packed,
@@ -132,9 +127,6 @@ __all__ = [
     "get_engine",
     "register_engine",
     "resolve_engine",
-    "compute_level_histograms_parallel",
-    "compute_level_histograms_parallel_shm",
-    "shutdown_worker_pool",
     "compute_level_histograms_streaming",
     "compute_level_histograms_packed",
     "compute_level_histograms_vectorized",

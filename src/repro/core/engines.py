@@ -1,12 +1,11 @@
 """Postlude engine registry: one dispatch point for every implementation.
 
-The repo has grown four interchangeable ways to turn a trace into the
-per-level conflict histograms of the paper's Algorithm 3 — serial
-bigints, a multiprocessing splitter, a constant-memory streaming pass
-and a NumPy bit-matrix kernel.  Callers (the explorer, the CLI, the
-benchmark harness) should not hard-code that list; they select an
-engine *by name* here and new engines become visible everywhere by
-registering a single :class:`EngineSpec`.
+Two interchangeable engines turn a trace into the per-level conflict
+histograms of the paper's Algorithm 3 — serial bigints and a NumPy
+bit-matrix kernel.  Callers (the explorer, the CLI, the benchmark
+harness) should not hard-code that list; they select an engine *by
+name* here and new engines become visible everywhere by registering a
+single :class:`EngineSpec`.
 
 Names
 -----
@@ -16,43 +15,20 @@ Names
     (:func:`repro.core.postlude.compute_level_histograms`).  Every other
     engine is tested bit-identical against it.  ``bitmask`` is accepted
     as a legacy alias.
-``parallel``
-    BCAT subtrees fanned out over worker processes
-    (:mod:`repro.core.parallel`); takes a ``processes`` option.  The
-    bigint tables travel through the pool initializer, and the
-    initialized pool is cached per trace digest so repeat runs re-pickle
-    nothing.
-``parallel-shm``
-    BCAT subtrees over worker processes *sharing* one packed conflict
-    bit-matrix in a ``multiprocessing.shared_memory`` segment
-    (:mod:`repro.core.parallel` + :mod:`repro.core.shm`); workers
-    attach read-only and claim subtree indices from the pool's task
-    queue, each running the vectorized blocked walk over its row
-    segments.  Takes ``processes`` and ``split_level``; falls back to
-    ``parallel`` when NumPy is missing.
-``streaming``
-    Single LRU-stack pass over the raw trace with O(N') memory
-    (:mod:`repro.core.streaming`).
 ``vectorized``
     NumPy ``uint64`` bit-matrix kernel (:mod:`repro.core.vectorized`);
     falls back to ``serial`` when NumPy is missing.  On a cold trace it
     runs *fused*: the fast prelude emits the packed conflict bit-matrix
     directly (:mod:`repro.core.prelude_fast`) and the postlude consumes
-    it zero-copy, skipping the bigint MRCT entirely.
+    it zero-copy, skipping the bigint MRCT entirely.  The retired
+    engine names ``parallel``, ``parallel-shm`` and ``streaming`` are
+    legacy aliases: none of them ever beat this kernel (DESIGN §5.9).
 ``auto``
-    Picks between ``serial``, ``vectorized`` and — on multi-core hosts
-    at very large N — ``parallel-shm``.  Calibration against
-    BENCH_postlude.json showed the bigint ``parallel`` 2.5–8x slower
-    than ``serial`` and ``streaming`` 22–125x slower at every measured
-    size, so neither is ever auto-selected (they remain available by
-    name).  The serial/vectorized threshold depends on what work is
-    left: a cold trace favors ``vectorized`` from ``AUTO_MIN_REFS``
-    because the fused prelude is part of the win; with the bigint MRCT
-    already in hand only the postlude differs, and ``serial`` stays
-    competitive until ``AUTO_MIN_REFS_POSTLUDE``.  ``parallel-shm``
-    takes over from ``vectorized`` at ``AUTO_MIN_REFS_PARALLEL_SHM``
-    when more than one CPU is available — below that the fork/attach
-    overhead eats the fan-out win (BENCH_parallel.json).
+    Picks between ``serial`` and ``vectorized``.  The threshold depends
+    on what work is left: a cold trace favors ``vectorized`` from
+    ``AUTO_MIN_REFS`` because the fused prelude is part of the win; with
+    the bigint MRCT already in hand only the postlude differs, and
+    ``serial`` stays competitive until ``AUTO_MIN_REFS_POSTLUDE``.
 
 All engines consume the same :class:`EngineInputs` bundle, which builds
 the prelude products (stripped trace, zero/one sets, MRCT — and, for
@@ -100,29 +76,21 @@ AUTO_MIN_REFS_POSTLUDE = 16384
 #: loses at N'=1000 (markov) when the trace behind it is long.
 AUTO_MIN_UNIQUE = 1024
 
-#: ``auto`` escalates from ``vectorized`` to ``parallel-shm`` at this
-#: trace length, and only when the host has more than one CPU: forking
-#: workers, laying out the shared segment and gathering the matrix into
-#: it is ~50-80 ms of fixed overhead (BENCH_parallel.json: shm trails
-#: vectorized by 0.08 s at N=2x10^5 and by 0.03 s at N=10^6 on one
-#: CPU) that only a multi-core walk can amortize — so the gate is the
-#: size where the per-worker walk share is large enough to cover it.
-AUTO_MIN_REFS_PARALLEL_SHM = 1_000_000
-
-#: The only engines ``auto`` may return.  The bigint ``parallel`` and
-#: ``streaming`` are deliberately excluded: BENCH_postlude.json shows
-#: parallel slower than serial on every panel trace (0.554 s vs
-#: 0.210 s on loop-1024x100) and streaming 22-125x slower (26.3 s vs
-#: 0.21 s) — an auto policy must never pick a measured regression.
-#: ``parallel-shm`` shares the vectorized kernel, so its floor is not a
-#: regression, just overhead — hence the size + core-count gate.
-AUTO_CANDIDATES = ("serial", "vectorized", "parallel-shm")
+#: The only engines ``auto`` may return.
+AUTO_CANDIDATES = ("serial", "vectorized")
 
 #: Prelude builder modes accepted by :class:`EngineInputs`.
 PRELUDE_MODES = ("auto", "fast", "python")
 
-#: Legacy names still accepted everywhere an engine name is.
-ALIASES = {"bitmask": "serial"}
+#: Legacy names still accepted everywhere an engine name is.  The three
+#: retired engines answer through ``vectorized``: their histograms were
+#: bit-identical to it, and it was faster on every measured trace.
+ALIASES = {
+    "bitmask": "serial",
+    "parallel": "vectorized",
+    "parallel-shm": "vectorized",
+    "streaming": "vectorized",
+}
 
 
 class EngineInputs:
@@ -142,8 +110,7 @@ class EngineInputs:
 
     Args:
         trace: the raw trace, or ``None`` when the prelude products are
-            injected (engines that consume the raw trace — e.g.
-            ``streaming`` — then refuse to run).
+            injected.
         recorder: a :class:`repro.obs.Recorder` that each lazily built
             stage reports itself to; defaults to the no-op recorder.
         store: optional :class:`repro.store.ArtifactStore`; ignored when
@@ -457,11 +424,8 @@ class EngineSpec:
         summary: one-line description (shown by ``repro engines``).
         memory: qualitative working-set note for the selection table.
         best_for: when to pick this engine.
-        runner: callable ``runner(inputs, max_level=None, **options)``
-            returning the per-level histograms.
-        options: the option names this engine accepts; :meth:`compute`
-            rejects anything else, so a typo'd option fails loudly
-            instead of silently running with defaults.
+        runner: callable ``runner(inputs, max_level=None)`` returning
+            the per-level histograms.
         requires_numpy: True when the fast path needs NumPy (the engine
             must still *work* without it, falling back internally).
     """
@@ -471,7 +435,6 @@ class EngineSpec:
     memory: str
     best_for: str
     runner: Runner
-    options: Tuple[str, ...] = ()
     requires_numpy: bool = False
 
     def available(self) -> bool:
@@ -482,47 +445,23 @@ class EngineSpec:
 
         return numpy_available()
 
-    def accepts(self, option: str) -> bool:
-        """True when this engine declares the named option."""
-        return option in self.options
-
-    def filter_options(self, options: Dict[str, object]) -> Dict[str, object]:
-        """The subset of ``options`` this engine declares.
-
-        For callers that hold one option set and dispatch to whichever
-        engine was selected (the explorer does this with ``processes``);
-        user-supplied options should instead go through :meth:`compute`
-        unfiltered so typos are caught.
-        """
-        return {k: v for k, v in options.items() if k in self.options}
-
     def compute(
         self,
         inputs: EngineInputs,
         max_level: Optional[int] = None,
-        **options: object,
     ) -> Dict[int, LevelHistogram]:
         """Run this engine on the given prelude products.
 
         When the inputs carry an artifact store, a stored histogram
-        entry for this trace short-circuits the run entirely — engine
-        options (worker counts etc.) never affect the result, so a hit
-        written by any engine serves every engine.
+        entry for this trace short-circuits the run entirely — every
+        engine is bit-identical, so a hit written by any engine serves
+        every engine.
 
         Raises:
             ValueError: for a negative ``max_level`` (every engine
-                rejects it identically, before the store is consulted)
-                or for option names the engine does not declare (e.g. a
-                typo'd ``proceses=8``).
+                rejects it identically, before the store is consulted).
         """
         max_level = validate_max_level(max_level)
-        unknown = sorted(set(options) - set(self.options))
-        if unknown:
-            accepted = ", ".join(sorted(self.options)) or "(none)"
-            raise ValueError(
-                f"unknown option(s) for engine {self.name!r}: "
-                f"{', '.join(unknown)}; accepted options: {accepted}"
-            )
         recorder = inputs.recorder
         cached = inputs.load_histograms(max_level)
         if cached is not None:
@@ -534,7 +473,7 @@ class EngineSpec:
                 )
             return cached
         with recorder.phase(f"engine:{self.name}"):
-            histograms = self.runner(inputs, max_level=max_level, **options)
+            histograms = self.runner(inputs, max_level=max_level)
             if recorder.enabled:
                 recorder.record("histogram_levels", len(histograms))
                 recorder.record(
@@ -584,9 +523,8 @@ def choose_auto(
 ) -> str:
     """The concrete engine ``auto`` stands for, given what is known.
 
-    Only :data:`AUTO_CANDIDATES` (``serial``/``vectorized``/
-    ``parallel-shm``) are ever returned — see the constants' calibration
-    notes.  Sizing prefers the raw trace length; when the raw trace is
+    Only :data:`AUTO_CANDIDATES` (``serial``/``vectorized``) are ever
+    returned — see the constants' calibration notes.  Sizing prefers the raw trace length; when the raw trace is
     unavailable — a caller injected prelude products — it falls back to
     the stripped trace's ``n_unique`` (``>= AUTO_MIN_UNIQUE``) rather
     than silently treating the unknown trace as short.
@@ -604,19 +542,10 @@ def choose_auto(
         return "serial"
     threshold = AUTO_MIN_REFS_POSTLUDE if prelude_ready else AUTO_MIN_REFS
     if trace is not None:
-        if len(trace) >= AUTO_MIN_REFS_PARALLEL_SHM and _usable_cpus() >= 2:
-            return "parallel-shm"
         return "vectorized" if len(trace) >= threshold else "serial"
     if stripped is not None:
         return "vectorized" if stripped.n_unique >= AUTO_MIN_UNIQUE else "serial"
     return "serial"
-
-
-def _usable_cpus() -> int:
-    """CPUs available for worker fan-out (module-level for testability)."""
-    import os
-
-    return os.cpu_count() or 1
 
 
 def get_engine(name: str) -> EngineSpec:
@@ -650,12 +579,9 @@ def compute_histograms(
     engine: str,
     inputs: EngineInputs,
     max_level: Optional[int] = None,
-    **options: object,
 ) -> Dict[int, LevelHistogram]:
     """Select an engine by name and run it — the one-call dispatch path."""
-    return resolve_engine(engine, inputs).compute(
-        inputs, max_level=max_level, **options
-    )
+    return resolve_engine(engine, inputs).compute(inputs, max_level=max_level)
 
 
 # -- built-in engines ----------------------------------------------------------
@@ -667,77 +593,6 @@ def _run_serial(
     return compute_level_histograms(
         inputs.zerosets, inputs.mrct, max_level=max_level
     )
-
-
-def _run_parallel(
-    inputs: EngineInputs,
-    max_level: Optional[int] = None,
-    processes: int = 2,
-    split_level: int = 2,
-) -> Dict[int, LevelHistogram]:
-    from repro.core.parallel import compute_level_histograms_parallel
-
-    return compute_level_histograms_parallel(
-        inputs.zerosets,
-        inputs.mrct,
-        max_level=max_level,
-        processes=processes,
-        split_level=split_level,
-        # The digest names the tables' content, letting repeat calls on
-        # the same trace reuse the already-initialized worker pool.
-        reuse_key=inputs.trace_digest,
-    )
-
-
-def _run_parallel_shm(
-    inputs: EngineInputs,
-    max_level: Optional[int] = None,
-    processes: int = 2,
-    split_level: int = 2,
-) -> Dict[int, LevelHistogram]:
-    from repro.core.vectorized import numpy_available
-
-    if not numpy_available():
-        return _run_parallel(
-            inputs,
-            max_level=max_level,
-            processes=processes,
-            split_level=split_level,
-        )
-    from repro.core.parallel import compute_level_histograms_parallel_shm
-
-    # Same input preference as the vectorized engine: consume the packed
-    # matrix when it exists or can be built without repeating paid-for
-    # prelude work; otherwise pack the bigint MRCT.
-    can_build_packed = (
-        inputs.prelude != "python"
-        and inputs.mrct_if_built is None
-        and (inputs.trace is not None or inputs.stripped_if_built is not None)
-    )
-    if inputs.packed_mrct_if_built is not None or can_build_packed:
-        return compute_level_histograms_parallel_shm(
-            inputs.zerosets,
-            packed=inputs.packed_mrct,
-            max_level=max_level,
-            processes=processes,
-            split_level=split_level,
-        )
-    return compute_level_histograms_parallel_shm(
-        inputs.zerosets,
-        mrct=inputs.mrct,
-        max_level=max_level,
-        processes=processes,
-        split_level=split_level,
-    )
-
-
-def _run_streaming(
-    inputs: EngineInputs, max_level: Optional[int] = None
-) -> Dict[int, LevelHistogram]:
-    from repro.core.streaming import compute_level_histograms_streaming
-
-    trace = inputs.require_trace("the streaming engine consumes the raw trace")
-    return compute_level_histograms_streaming(trace, max_level=max_level)
 
 
 def _run_vectorized(
@@ -786,37 +641,6 @@ register_engine(
 )
 register_engine(
     EngineSpec(
-        name="parallel",
-        summary="BCAT subtrees across worker processes",
-        memory="serial's, duplicated per worker",
-        best_for="very large N x N' on multi-core hosts without NumPy",
-        runner=_run_parallel,
-        options=("processes", "split_level"),
-    )
-)
-register_engine(
-    EngineSpec(
-        name="parallel-shm",
-        summary="BCAT subtrees over workers sharing one packed matrix "
-        "in shared memory",
-        memory="one shared copy of the packed matrix + O(N') per worker",
-        best_for="very large N on multi-core hosts with NumPy",
-        runner=_run_parallel_shm,
-        options=("processes", "split_level"),
-        requires_numpy=True,
-    )
-)
-register_engine(
-    EngineSpec(
-        name="streaming",
-        summary="single LRU-stack pass over the raw trace",
-        memory="O(N') — no MRCT, no zero/one sets",
-        best_for="traces that dwarf RAM",
-        runner=_run_streaming,
-    )
-)
-register_engine(
-    EngineSpec(
         name="vectorized",
         summary="NumPy uint64 bit-matrix kernel, fused with the fast prelude",
         memory="O(unique conflict rows x N'/64 words)",
@@ -851,7 +675,7 @@ class PolicyEngineSpec:
         factory: callable ``factory(trace, **kwargs)`` returning an
             explorer; accepts the :class:`AnalyticalCacheExplorer`
             constructor keywords (``max_depth``, ``engine``,
-            ``processes``, ``prelude``, ``recorder``, ``store``).
+            ``prelude``, ``recorder``, ``store``).
     """
 
     name: str

@@ -35,14 +35,9 @@ class AnalyticalCacheExplorer:
         engine: which histogram engine to use, by registry name
             (see :mod:`repro.core.engines`): ``"serial"`` (the paper's
             BCAT/MRCT pipeline with bit-vector sets; ``"bitmask"`` is a
-            legacy alias), ``"streaming"`` (single LRU-stack pass, O(N')
-            memory, for traces that dwarf RAM), ``"parallel"`` (BCAT
-            subtrees across worker processes, for very large N·N'),
-            ``"vectorized"`` (NumPy bit-matrix kernel) or ``"auto"``
-            (default; picks ``vectorized`` for long traces when NumPy is
-            available, else ``serial``).
-        processes: worker count for the ``"parallel"`` engine (only
-            forwarded to engines that declare the option).
+            legacy alias), ``"vectorized"`` (NumPy bit-matrix kernel) or
+            ``"auto"`` (default; picks ``vectorized`` for long traces
+            when NumPy is available, else ``serial``).
         prelude: prelude builder mode — ``"auto"`` (default; fast
             NumPy/Fenwick kernels when they pay for themselves),
             ``"fast"`` (always the fast kernels) or ``"python"`` (the
@@ -80,7 +75,6 @@ class AnalyticalCacheExplorer:
         trace: Trace,
         max_depth: Optional[int] = None,
         engine: str = _engines.AUTO_ENGINE,
-        processes: int = 2,
         prelude: str = "auto",
         recorder=None,
         store=None,
@@ -91,11 +85,8 @@ class AnalyticalCacheExplorer:
                     f"max_depth must be a power of two, got {max_depth}"
                 )
         _engines.canonical_name(engine)  # raises ValueError on unknown names
-        if processes < 1:
-            raise ValueError("processes must be >= 1")
         self.trace = trace
         self.engine = engine
-        self.processes = processes
         self.prelude = prelude
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.store = store
@@ -105,7 +96,6 @@ class AnalyticalCacheExplorer:
         )
         self._histograms: Optional[Dict[int, LevelHistogram]] = None
         self._statistics: Optional[TraceStatistics] = None
-        self._engine_options: Dict[str, object] = {}
 
     # -- cached pipeline stages -------------------------------------------------
 
@@ -140,16 +130,7 @@ class AnalyticalCacheExplorer:
             # NumPy, which dominates small-trace profiles if untracked.
             with self.recorder.phase("resolve-engine"):
                 spec = _engines.resolve_engine(self.engine, self._inputs)
-            # Only forward the worker count to engines that declare it;
-            # user-typo'd options still fail loudly inside compute().
-            self._engine_options = spec.filter_options(
-                {"processes": self.processes}
-            )
-            self._histograms = spec.compute(
-                self._inputs,
-                max_level=max_level,
-                **self._engine_options,
-            )
+            self._histograms = spec.compute(self._inputs, max_level=max_level)
         return self._histograms
 
     @property
@@ -243,7 +224,7 @@ class AnalyticalCacheExplorer:
             self.recorder,
             engine=self.resolved_engine,
             requested_engine=self.engine,
-            options=dict(self._engine_options),
+            options={},
             trace={
                 "name": self.trace.name,
                 "n": len(self.trace),
@@ -258,14 +239,13 @@ def explore(
     budget: int,
     max_depth: Optional[int] = None,
     engine: str = _engines.AUTO_ENGINE,
-    processes: int = 2,
     recorder=None,
     store=None,
     include_depth_one: bool = False,
 ) -> ExplorationResult:
     """One-shot convenience wrapper around :class:`AnalyticalCacheExplorer`.
 
-    ``engine``/``processes``/``recorder``/``store`` are forwarded to the
+    ``engine``/``recorder``/``store`` are forwarded to the
     explorer, so the convenience path matches the class path (earlier
     versions silently ran with the default engine and no telemetry).
 
@@ -282,7 +262,6 @@ def explore(
             budget=budget,
             max_depth=max_depth,
             engine=engine,
-            processes=processes,
             recorder=recorder,
             store=store,
             include_depth_one=include_depth_one,
@@ -296,7 +275,6 @@ def explore_percent(
     percent: float,
     max_depth: Optional[int] = None,
     engine: str = _engines.AUTO_ENGINE,
-    processes: int = 2,
     recorder=None,
     store=None,
     include_depth_one: bool = False,
@@ -315,7 +293,6 @@ def explore_percent(
             percent=percent,
             max_depth=max_depth,
             engine=engine,
-            processes=processes,
             recorder=recorder,
             store=store,
             include_depth_one=include_depth_one,
@@ -329,7 +306,6 @@ def explore_many(
     budgets: Sequence[int],
     max_depth: Optional[int] = None,
     engine: str = _engines.AUTO_ENGINE,
-    processes: int = 2,
     recorder=None,
     store=None,
     include_depth_one: bool = False,
@@ -348,7 +324,6 @@ def explore_many(
             budgets=tuple(budgets),
             max_depth=max_depth,
             engine=engine,
-            processes=processes,
             recorder=recorder,
             store=store,
             include_depth_one=include_depth_one,

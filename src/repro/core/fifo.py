@@ -82,7 +82,6 @@ class FIFOHybridExplorer:
         trace: Trace,
         max_depth: Optional[int] = None,
         engine: str = _engines.AUTO_ENGINE,
-        processes: int = 2,
         prelude: str = "auto",
         recorder=None,
         store=None,
@@ -91,14 +90,12 @@ class FIFOHybridExplorer:
             trace,
             max_depth=max_depth,
             engine=engine,
-            processes=processes,
             prelude=prelude,
             recorder=recorder,
             store=store,
         )
         self.trace = trace
         self.engine = engine
-        self.processes = processes
         self.prelude = prelude
         self.recorder = self._analytical.recorder
         self.store = store

@@ -133,7 +133,6 @@ class LineSizeExplorer:
         max_depth: forwarded to each per-line-size explorer.
         engine: histogram engine name, forwarded to each per-line-size
             explorer.
-        processes: worker count for the ``"parallel"`` engine.
         recorder: shared :class:`repro.obs.Recorder` across the sweep.
         store: shared :class:`repro.store.ArtifactStore` — each line
             size's derived trace gets its own content digest, so the
@@ -154,7 +153,6 @@ class LineSizeExplorer:
         line_sizes: Iterable[int] = DEFAULT_LINE_SIZES,
         max_depth: Optional[int] = None,
         engine: str = "auto",
-        processes: int = 2,
         recorder=None,
         store=None,
     ) -> None:
@@ -168,7 +166,6 @@ class LineSizeExplorer:
         self.line_sizes = sizes
         self._max_depth = max_depth
         self._engine = engine
-        self._processes = processes
         self._recorder = recorder
         self._store = store
         self._explorers: Dict[int, AnalyticalCacheExplorer] = {}
@@ -185,7 +182,6 @@ class LineSizeExplorer:
                 line_trace,
                 max_depth=self._max_depth,
                 engine=self._engine,
-                processes=self._processes,
                 recorder=self._recorder,
                 store=self._store,
             )
@@ -226,7 +222,6 @@ def explore_line_sizes(
     budget: int,
     line_sizes: Sequence[int] = LineSizeExplorer.DEFAULT_LINE_SIZES,
     engine: str = "auto",
-    processes: int = 2,
     recorder=None,
     store=None,
 ) -> LineSweepResult:
@@ -245,7 +240,6 @@ def explore_line_sizes(
             budget=budget,
             line_sizes=line_sizes,
             engine=engine,
-            processes=processes,
             recorder=recorder,
             store=store,
         )

@@ -63,7 +63,6 @@ class MultiTraceExplorer:
         engine: histogram engine name (see :mod:`repro.core.engines`),
             forwarded to every per-trace explorer; ``"auto"`` picks the
             best available engine per trace.
-        processes: worker count for the ``"parallel"`` engine.
         recorder: a shared :class:`repro.obs.Recorder` forwarded to every
             per-trace explorer, so one profile covers the whole set.
         store: a shared :class:`repro.store.ArtifactStore` forwarded to
@@ -85,7 +84,6 @@ class MultiTraceExplorer:
         weights: Optional[Sequence[int]] = None,
         max_depth: Optional[int] = None,
         engine: str = "auto",
-        processes: int = 2,
         recorder=None,
         store=None,
     ) -> None:
@@ -109,7 +107,6 @@ class MultiTraceExplorer:
                 trace,
                 max_depth=max_depth,
                 engine=engine,
-                processes=processes,
                 recorder=recorder,
                 store=store,
             )

@@ -31,7 +31,7 @@ def validate_max_level(max_level: Optional[int]) -> Optional[int]:
 
     ``None`` means "no bound" (histogram every level up to the address
     width).  Anything else must be a non-negative integer; every entry
-    point — serial, parallel, streaming, vectorized, the store key
+    point — serial, vectorized, the streaming state, the store key
     derivation, and the serve wire protocol — funnels through this one
     check so an invalid bound fails identically everywhere.
 

@@ -147,8 +147,8 @@ class PackedMRCT:
         The weighted rows are replayed ``weight`` times each, grouped by
         identifier in packed-row order.  The result is multiset-equal to
         the original table but does *not* preserve trace order — use it
-        only for engines (serial/parallel/streaming adapters) whose
-        output depends on the multiset alone.
+        only for consumers (the serial engine) whose output depends on
+        the multiset alone.
         """
         table: List[List[int]] = [[] for _ in range(self.n_unique)]
         nbytes = self.words * 8

@@ -7,8 +7,8 @@ line_sizes)`` and ``MultiTraceExplorer(...).run(budget, mode)``.
 :class:`ExplorationRequest` is the single contract that covers all of
 them: what to explore (one trace, an application set, a line-size
 sweep), at which budgets (absolute K's, the paper's percent-of-max-
-misses, or both), and with which machinery (engine, worker count,
-recorder, artifact store).  :func:`explore_request` executes it and
+misses, or both), and with which machinery (engine, recorder,
+artifact store).  :func:`explore_request` executes it and
 returns an :class:`ExplorationReport`.
 
 The legacy helpers remain as thin shims that build a request, so no
@@ -44,7 +44,6 @@ MODES = ("single", "sum", "each", "linesize")
 #: with it (conflicts fail loudly instead of silently winning).
 _SCENARIO_SHIM_FIELDS = {
     "engine": _engines.AUTO_ENGINE,
-    "processes": 2,
     "prelude": "auto",
     "max_depth": None,
     "include_depth_one": False,
@@ -74,7 +73,6 @@ class ExplorationRequest:
         line_sizes: line sizes for ``linesize`` mode.
         weights: per-trace weights for ``sum`` mode.
         engine: histogram engine name (see :mod:`repro.core.engines`).
-        processes: worker count for the ``parallel`` engine.
         prelude: prelude builder mode (``auto``/``fast``/``python``;
             see :class:`repro.core.engines.EngineInputs`).  ``single``
             mode forwards it to the explorer; other modes currently run
@@ -84,7 +82,7 @@ class ExplorationRequest:
         store: optional :class:`repro.store.ArtifactStore` shared by
             every explorer the request spawns (warm-start).
         scenario: the :class:`repro.scenario.ScenarioSpec` describing
-            *how* to explore — machinery (engine/processes/prelude/
+            *how* to explore — machinery (engine/prelude/
             depth bounds) plus the scenario dimensions (replacement
             policy, second level, cost model).  When omitted, one is
             built from the loose machinery kwargs above (the
@@ -106,7 +104,6 @@ class ExplorationRequest:
     line_sizes: Tuple[int, ...] = LineSizeExplorer.DEFAULT_LINE_SIZES
     weights: Optional[Tuple[int, ...]] = None
     engine: str = _engines.AUTO_ENGINE
-    processes: int = 2
     prelude: str = "auto"
     recorder: Optional[object] = None
     store: Optional[object] = None
@@ -205,7 +202,6 @@ class ExplorationRequest:
         max_depth: Optional[int] = None,
         include_depth_one: bool = False,
         engine: str = _engines.AUTO_ENGINE,
-        processes: int = 2,
         prelude: str = "auto",
         recorder=None,
         store=None,
@@ -227,7 +223,6 @@ class ExplorationRequest:
         if scenario is None:
             scenario = ScenarioSpec(
                 engine=engine,
-                processes=processes,
                 prelude=prelude,
                 max_depth=max_depth,
                 include_depth_one=include_depth_one,
@@ -252,7 +247,6 @@ class ExplorationRequest:
             max_depth=max_depth,
             include_depth_one=include_depth_one,
             engine=engine,
-            processes=processes,
             prelude=prelude,
             recorder=recorder,
             store=store,
@@ -268,7 +262,6 @@ class ExplorationRequest:
         weights: Optional[Sequence[int]] = None,
         max_depth: Optional[int] = None,
         engine: str = _engines.AUTO_ENGINE,
-        processes: int = 2,
         recorder=None,
         store=None,
     ) -> "ExplorationRequest":
@@ -280,7 +273,6 @@ class ExplorationRequest:
             weights=tuple(weights) if weights is not None else None,
             max_depth=max_depth,
             engine=engine,
-            processes=processes,
             recorder=recorder,
             store=store,
         )
@@ -293,7 +285,6 @@ class ExplorationRequest:
         line_sizes: Sequence[int] = LineSizeExplorer.DEFAULT_LINE_SIZES,
         max_depth: Optional[int] = None,
         engine: str = _engines.AUTO_ENGINE,
-        processes: int = 2,
         recorder=None,
         store=None,
     ) -> "ExplorationRequest":
@@ -305,7 +296,6 @@ class ExplorationRequest:
             line_sizes=tuple(line_sizes),
             max_depth=max_depth,
             engine=engine,
-            processes=processes,
             recorder=recorder,
             store=store,
         )
@@ -517,7 +507,6 @@ def _run_single(request: ExplorationRequest) -> ExplorationReport:
         request.traces[0],
         max_depth=spec.max_depth,
         engine=spec.engine,
-        processes=spec.processes,
         prelude=spec.prelude,
         recorder=request.recorder,
         store=request.store,
@@ -557,7 +546,6 @@ def _run_multi(request: ExplorationRequest) -> ExplorationReport:
         weights=list(request.weights) if request.weights is not None else None,
         max_depth=request.max_depth,
         engine=request.engine,
-        processes=request.processes,
         recorder=request.recorder,
         store=request.store,
     )
@@ -576,7 +564,6 @@ def _run_linesize(request: ExplorationRequest) -> ExplorationReport:
         line_sizes=request.line_sizes,
         max_depth=request.max_depth,
         engine=request.engine,
-        processes=request.processes,
         recorder=request.recorder,
         store=request.store,
     )

@@ -41,7 +41,6 @@ class SensitivityStep:
 def _as_explorer(
     explorer: Union[AnalyticalCacheExplorer, Trace],
     engine: str = "auto",
-    processes: int = 2,
     recorder=None,
     store=None,
 ) -> AnalyticalCacheExplorer:
@@ -51,7 +50,6 @@ def _as_explorer(
     return AnalyticalCacheExplorer(
         explorer,
         engine=engine,
-        processes=processes,
         recorder=recorder,
         store=store,
     )
@@ -61,7 +59,6 @@ def budget_sensitivity(
     explorer: Union[AnalyticalCacheExplorer, Trace],
     depth: int,
     engine: str = "auto",
-    processes: int = 2,
     recorder=None,
     store=None,
 ) -> List[SensitivityStep]:
@@ -79,7 +76,6 @@ def budget_sensitivity(
     explorer = _as_explorer(
         explorer,
         engine=engine,
-        processes=processes,
         recorder=recorder,
         store=store,
     )
@@ -113,7 +109,6 @@ def marginal_budget_for_cheaper_cache(
     depth: int,
     budget: int,
     engine: str = "auto",
-    processes: int = 2,
     recorder=None,
     store=None,
 ) -> int:
@@ -128,7 +123,6 @@ def marginal_budget_for_cheaper_cache(
         explorer,
         depth,
         engine=engine,
-        processes=processes,
         recorder=recorder,
         store=store,
     )

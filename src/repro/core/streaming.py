@@ -20,18 +20,18 @@ doubly-linked list with an address → node position map, so relocating a
 reference to the top is O(1) and the only per-reference cost is the
 reuse-distance walk itself.  In pure Python that walk is slower than
 the MRCT path's word-parallel bitmask popcounts (the benchmark
-quantifies it), so this engine's value is its *space*: O(N') live state
-versus conflict sets proportional to the trace length — the variant to
-use when the trace dwarfs memory.
+quantifies it), so this pass's value is its *space* and its
+*appendability*: O(N') live state versus conflict sets proportional to
+the trace length.
 
 All of the per-reference state lives in :class:`StreamingState`, which
 is *appendable* (feed the trace in chunks; histograms are exact after
 every chunk) and *checkpointable* (``repro.store`` persists and
 restores it, see :mod:`repro.stream`).  Produces histograms
 bit-identical to :func:`repro.core.postlude.compute_level_histograms`
-(tested), so the explorer can use either engine.  Registered as the
-``streaming`` engine in :mod:`repro.core.engines` (it is the one engine
-that consumes the raw trace rather than the prelude products).
+(tested).  It is not a registered engine — the ``streaming`` name in
+:mod:`repro.core.engines` is an alias of ``vectorized``, which is far
+faster on a whole trace — but the session layer appends to it.
 """
 
 from __future__ import annotations

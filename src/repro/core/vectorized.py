@@ -55,7 +55,7 @@ except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
 #: blocks of this size so the walk's transient memory stays flat instead
 #: of scaling with the row count — at N=10^6 undeduplicated rows the
 #: unblocked temporaries were 2x the matrix itself.  Sized to sit in L2
-#: cache territory; calibrated with benchmarks/bench_parallel.py.
+#: cache territory.
 _WALK_BLOCK_BYTES = 4 * 1024 * 1024
 
 #: Prefer the hardware popcount ufunc (NumPy >= 2.0); older NumPy builds
@@ -202,38 +202,34 @@ def _node_counts(matrix, weights, row_lo, row_hi, mask, out) -> None:
         out[: len(binned)] += binned.astype(_np.int64)
 
 
-def _walk_node(
+def _walk_bit_matrix(
+    zerosets: ZeroOneSets,
+    limit: int,
     matrix,
     weights,
     positions,
-    zero_masks,
-    one_masks,
-    level_counts,
-    limit: int,
-    root,
-    split_level=None,
-    jobs=None,
+    histograms: Dict[int, LevelHistogram],
 ) -> None:
-    """Depth-first BCAT walk from one node, accumulating into ``level_counts``.
+    """Depth-first BCAT walk over a row-sorted weighted bit-matrix.
 
-    ``root`` is ``(level, mask, first_position, row_lo, row_hi,
-    cardinality)``; ``level_counts`` is a ``(limit + 1, N' + 1)`` int64
-    accumulator.  Mirrors ``bcat.walk_bcat_sets`` including its pruning
-    of nodes with fewer than two members.
-
-    When ``split_level`` is given, nodes *at* that level are appended to
-    ``jobs`` (same tuple shape) instead of being descended into — the
-    parallel-shm engine uses this to discover its work units with the
-    exact pruning semantics of the full walk.
+    ``matrix`` rows must be ordered by ``positions`` (each row's
+    identifier position under the bit-reversed permutation, ascending)
+    so every BCAT node is one contiguous row segment; ``weights`` are
+    the rows' occurrence multiplicities.  Mirrors ``bcat.walk_bcat_sets``
+    including its pruning of nodes with fewer than two members, and
+    fills ``histograms`` in place.  Shared by the bigint-packing path
+    (:func:`compute_level_histograms_vectorized`) and the fused packed
+    path (:func:`compute_level_histograms_packed`).
     """
-    stack = [root]
+    nprime = zerosets.n_unique
+    zero_masks, one_masks, universe = _walk_tables(zerosets, limit)
+    # Per-level accumulators; a conflict cardinality can never exceed N'-1.
+    level_counts = _np.zeros((limit + 1, nprime + 1), dtype=_np.int64)
+    # A node is (level, mask, first_position, row_lo, row_hi, cardinality).
+    stack = [(0, universe, 0, 0, matrix.shape[0], nprime)]
     while stack:
-        node = stack.pop()
-        level, mask, first_position, row_lo, row_hi, cardinality = node
+        level, mask, first_position, row_lo, row_hi, cardinality = stack.pop()
         if cardinality < 2:
-            continue
-        if split_level is not None and level == split_level:
-            jobs.append(node)
             continue
         if row_hi > row_lo:
             _node_counts(matrix, weights, row_lo, row_hi, mask, level_counts[level])
@@ -259,44 +255,11 @@ def _walk_node(
             stack.append(
                 (level + 1, left_mask, first_position, row_lo, split_row, left_cardinality)
             )
-
-
-def _flush_level_counts(level_counts, histograms: Dict[int, LevelHistogram]) -> None:
-    """Copy the dense per-level accumulators into sparse histograms."""
+    # Copy the dense per-level accumulators into sparse histograms.
     for level, accumulated in enumerate(level_counts):
         counts = histograms[level].counts
         for distance in _np.flatnonzero(accumulated):
             counts[int(distance)] = int(accumulated[distance])
-
-
-def _walk_bit_matrix(
-    zerosets: ZeroOneSets,
-    limit: int,
-    matrix,
-    weights,
-    positions,
-    histograms: Dict[int, LevelHistogram],
-) -> None:
-    """The BCAT walk over a row-sorted weighted bit-matrix.
-
-    ``matrix`` rows must be ordered by ``positions`` (each row's
-    identifier position under the bit-reversed permutation, ascending)
-    so every BCAT node is one contiguous row segment; ``weights`` are
-    the rows' occurrence multiplicities.  Fills ``histograms`` in
-    place.  Shared by the bigint-packing path
-    (:func:`compute_level_histograms_vectorized`) and the fused packed
-    path (:func:`compute_level_histograms_packed`).
-    """
-    nprime = zerosets.n_unique
-    total_rows = matrix.shape[0]
-    zero_masks, one_masks, universe = _walk_tables(zerosets, limit)
-    # Per-level accumulators; a conflict cardinality can never exceed N'-1.
-    level_counts = _np.zeros((limit + 1, nprime + 1), dtype=_np.int64)
-    root = (0, universe, 0, 0, total_rows, nprime)
-    _walk_node(
-        matrix, weights, positions, zero_masks, one_masks, level_counts, limit, root
-    )
-    _flush_level_counts(level_counts, histograms)
 
 
 def _level_limit(zerosets: ZeroOneSets, max_level: Optional[int]) -> int:
@@ -310,7 +273,7 @@ def prepare_bigint_walk(zerosets: ZeroOneSets, limit: int, mrct: MRCT):
 
     Rows are ordered by their identifier's position under the
     bit-reversed permutation, so every BCAT node is one contiguous row
-    segment — the precondition of :func:`_walk_node`.
+    segment — the precondition of :func:`_walk_bit_matrix`.
     """
     nprime = zerosets.n_unique
     nbytes = ((nprime + 63) // 64) * 8
@@ -319,17 +282,11 @@ def prepare_bigint_walk(zerosets: ZeroOneSets, limit: int, mrct: MRCT):
     return _pack_conflict_rows(mrct, perm, nbytes)
 
 
-def prepare_packed_walk(
-    zerosets: ZeroOneSets, limit: int, packed: "PackedMRCT", matrix_out=None
-):
+def prepare_packed_walk(zerosets: ZeroOneSets, limit: int, packed: "PackedMRCT"):
     """Row-sort a :class:`PackedMRCT` into walk form.
 
     Returns ``(matrix, weights, positions)`` with rows gathered under
-    the bit-reversed identifier permutation.  When ``matrix_out`` is
-    given (a writable ``(rows, words)`` uint64 array — the parallel-shm
-    engine passes its shared-segment view), the gather lands directly
-    in it, so a store-mapped packed matrix flows into shared memory
-    with exactly one copy and no intermediate allocation.
+    the bit-reversed identifier permutation.
     """
     nprime = zerosets.n_unique
     nbytes = ((nprime + 63) // 64) * 8
@@ -339,11 +296,7 @@ def prepare_packed_walk(
     inverse_perm[perm] = _np.arange(nprime, dtype=_np.int64)
     row_positions = inverse_perm[packed.idents]
     order = _np.argsort(row_positions, kind="stable")
-    if matrix_out is not None:
-        _np.take(packed.matrix, order, axis=0, out=matrix_out)
-        matrix = matrix_out
-    else:
-        matrix = _np.ascontiguousarray(packed.matrix[order])
+    matrix = _np.ascontiguousarray(packed.matrix[order])
     weights = packed.weights[order].astype(_np.float64)
     positions = row_positions[order]
     return matrix, weights, positions

@@ -63,7 +63,6 @@ def explore_second_level(
         stream,
         max_depth=spec.l2_depth,
         engine=spec.engine,
-        processes=spec.processes,
         prelude=spec.prelude,
         recorder=recorder,
         store=store,

@@ -2,11 +2,10 @@
 
 :class:`ScenarioSpec` collapses the machinery knobs that used to travel
 as loose :class:`repro.core.request.ExplorationRequest` kwargs
-(``engine``/``processes``/``prelude``/``max_depth``/
-``include_depth_one``) together with the policy-aware dimensions the
-scenario tier adds (replacement ``policy``, a second cache level via
-``l2_depth``, a ``cost_model`` for ranking) into one validated,
-hashable dataclass.  The request carries a spec; the loose kwargs
+(``engine``/``prelude``/``max_depth``/``include_depth_one``) together
+with the policy-aware dimensions the scenario tier adds (replacement
+``policy``, a second cache level via ``l2_depth``, a ``cost_model`` for
+ranking) into one validated, hashable dataclass.  The request carries a spec; the loose kwargs
 remain as deprecation shims that build one.
 """
 
@@ -33,7 +32,6 @@ class ScenarioSpec:
 
     Attributes:
         engine: histogram engine name (see :mod:`repro.core.engines`).
-        processes: worker count for the ``parallel`` engine.
         prelude: prelude builder mode (``auto``/``fast``/``python``).
         max_depth: deepest cache depth to report (power of two).
         include_depth_one: also report the fully associative depth-1
@@ -51,7 +49,6 @@ class ScenarioSpec:
     """
 
     engine: str = _engines.AUTO_ENGINE
-    processes: int = 2
     prelude: str = "auto"
     max_depth: Optional[int] = None
     include_depth_one: bool = False
@@ -66,8 +63,6 @@ class ScenarioSpec:
                 f"prelude must be one of {_engines.PRELUDE_MODES}, "
                 f"got {self.prelude!r}"
             )
-        if self.processes < 1:
-            raise ValueError("processes must be >= 1")
         if self.max_depth is not None and not _is_power_of_two(self.max_depth):
             raise ValueError(
                 f"max_depth must be a power of two, got {self.max_depth}"

@@ -74,11 +74,7 @@ def execute_request(
         recorder,
         engine=report.engine,
         requested_engine=request.engine,
-        options={
-            "mode": request.mode,
-            "prelude": request.prelude,
-            "processes": request.processes,
-        },
+        options={"mode": request.mode, "prelude": request.prelude},
         trace={
             "name": trace.name,
             "n": len(trace),

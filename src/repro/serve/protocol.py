@@ -91,6 +91,11 @@ BATCH_RESPONSE_SCHEMA = "repro-serve-batch-response/1"
 #: Wire fields of a trace object.
 TRACE_FIELDS = ("name", "address_bits", "addresses", "kinds")
 
+#: The widest ``address_bits`` the wire accepts: the widest address a
+#: 16-hex-digit dinero line carries.  Structures sized by the width (one
+#: zero/one set per address bit) must stay bounded on the daemon.
+MAX_ADDRESS_BITS = 64
+
 #: The wire labels of the access kinds, the kind of each label, and the
 #: label of a kind.
 _KIND_LABELS = bytes(kind.value for kind in AccessKind)
@@ -217,6 +222,10 @@ def trace_from_wire(document: object) -> Trace:
     try:
         address_bits = _int(document["address_bits"], "trace.address_bits")
         name = _str(document["name"], "trace.name")
+        if address_bits > MAX_ADDRESS_BITS:
+            raise ValueError(
+                f"address_bits must be <= {MAX_ADDRESS_BITS}, got {address_bits}"
+            )
         return Trace(
             _packed_addresses(addresses),
             address_bits=address_bits,
@@ -247,7 +256,6 @@ def request_to_wire(request: ExplorationRequest) -> Dict:
         "line_sizes": list(request.line_sizes),
         "weights": list(request.weights) if request.weights is not None else None,
         "engine": request.engine,
-        "processes": request.processes,
         "prelude": request.prelude,
         "scenario": request.scenario.to_json_dict(),
     }
@@ -329,15 +337,25 @@ def request_from_wire(document: object) -> ExplorationRequest:
         else {"policy": "lru", "l2_depth": None, "cost_model": None}
     )
     try:
+        engine = _str(document.get("engine", "auto"), "request.engine")
+        # ``processes`` sized the worker pool of the retired parallel
+        # engines.  Every revision still accepts and checks it, then
+        # drops it: it cannot change an answer.
+        processes = _int(document.get("processes", 2), "request.processes")
+        prelude = _str(document.get("prelude", "auto"), "request.prelude")
+        include_depth_one = _bool(
+            document.get("include_depth_one", False),
+            "request.include_depth_one",
+        )
+        if processes < 1:
+            # Engine and prelude errors still take precedence.
+            ScenarioSpec(engine=engine, prelude=prelude)
+            raise ValueError("processes must be >= 1")
         scenario = ScenarioSpec(
-            engine=_str(document.get("engine", "auto"), "request.engine"),
-            processes=_int(document.get("processes", 2), "request.processes"),
-            prelude=_str(document.get("prelude", "auto"), "request.prelude"),
+            engine=engine,
+            prelude=prelude,
             max_depth=max_depth,
-            include_depth_one=_bool(
-                document.get("include_depth_one", False),
-                "request.include_depth_one",
-            ),
+            include_depth_one=include_depth_one,
             **scenario_fields,
         )
         return ExplorationRequest(
@@ -384,7 +402,6 @@ def request_key(document: object) -> str:
         "line_sizes": list(request.line_sizes),
         "weights": list(request.weights) if request.weights is not None else None,
         "engine": request.engine,
-        "processes": request.processes,
         "prelude": request.prelude,
         "policy": request.scenario.policy,
         "l2_depth": request.scenario.l2_depth,

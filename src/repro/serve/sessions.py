@@ -34,6 +34,7 @@ import secrets
 from typing import Dict, List, Optional
 
 from repro.serve.protocol import (
+    MAX_ADDRESS_BITS,
     ProtocolError,
     _address_list,
     _bool,
@@ -190,6 +191,11 @@ def parse_create(document: object) -> Dict[str, object]:
     if address_bits < 1:
         raise ProtocolError(
             f"session.address_bits must be >= 1, got {address_bits}"
+        )
+    if address_bits > MAX_ADDRESS_BITS:
+        raise ProtocolError(
+            f"session.address_bits must be <= {MAX_ADDRESS_BITS}, "
+            f"got {address_bits}"
         )
     max_level = document.get("max_level")
     if max_level is not None:

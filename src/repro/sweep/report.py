@@ -43,7 +43,7 @@ def _baseline_wall(schema: str, row: Dict, record_dict: Dict) -> Optional[float]
 
     Row-shaped bench schemas are matched on the cell's resolved trace
     name plus the schema's own notion of configuration: engine for the
-    postlude/parallel benches, prelude pipeline for the prelude bench,
+    postlude bench, prelude pipeline for the prelude bench,
     and store warmth for the store bench.  Returns ``None`` when the
     row does not describe this cell.
     """
@@ -51,7 +51,7 @@ def _baseline_wall(schema: str, row: Dict, record_dict: Dict) -> Optional[float]
     trace_name = record_dict.get("trace_name")
     if trace_name is None or row.get("trace") != trace_name:
         return None
-    if schema in ("repro-bench-postlude/1", "repro-bench-parallel/1"):
+    if schema == "repro-bench-postlude/1":
         if row.get("engine") != record_dict.get("engine"):
             return None
         if coords.get("warmth") != "cold":

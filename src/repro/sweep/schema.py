@@ -21,9 +21,6 @@ from typing import Dict, Mapping, Optional, Tuple
 #: bench_stream: appended tail may be at most this fraction of the trace.
 STREAM_TAIL_BAR = 0.01
 
-#: bench_parallel: the only engines that bench measures.
-PARALLEL_ENGINES = ("vectorized", "parallel", "parallel-shm")
-
 #: bench_serve latency-block fields.
 SERVE_PHASE_FIELDS = ("count", "p50_s", "p95_s", "p99_s", "max_s")
 
@@ -77,16 +74,6 @@ _STORE_ROW = {
     "warm_hits": int,
     "match": bool,
 }
-
-_PARALLEL_ROW = {
-    "engine": str,
-    "trace": str,
-    "N": int,
-    "N_prime": int,
-    "wall_s": float,
-    "match": bool,
-}
-
 
 def _check_header(document: Mapping, repeats: bool = True) -> None:
     """The common ``python``/``repeats``/``platform``/``numpy`` header."""
@@ -181,37 +168,6 @@ def _validate_store(document: Mapping) -> None:
     _check_summary_keys(
         document.get("summary"),
         ("min_speedup", "max_speedup", "geomean_speedup", "threshold", "pass"),
-    )
-
-
-def _validate_parallel(document: Mapping) -> None:
-    _check_header(document)
-    for row in _check_rows(document, _PARALLEL_ROW):
-        if row["wall_s"] < 0 or row["N"] < 0:
-            raise ValueError("negative measurement")
-        if row["engine"] not in PARALLEL_ENGINES:
-            raise ValueError(f"unexpected engine {row['engine']!r}")
-    warm = document.get("warm_start")
-    if not isinstance(warm, dict):
-        raise ValueError("'warm_start' must be present")
-    for key, kind in (
-        ("trace", str),
-        ("matrix_bytes", int),
-        ("decode_peak_bytes", int),
-        ("mmap_hits", int),
-        ("zero_copy", bool),
-    ):
-        if not isinstance(warm.get(key), kind):
-            raise ValueError(f"warm_start field {key!r} must be {kind.__name__}")
-    _check_summary_keys(
-        document.get("summary"),
-        (
-            "largest_trace",
-            "N",
-            "parallel_wall_s",
-            "parallel_shm_wall_s",
-            "shm_speedup",
-        ),
     )
 
 
@@ -317,7 +273,6 @@ BENCH_SCHEMAS: Dict[str, object] = {
     "repro-bench-postlude/1": _validate_postlude,
     "repro-bench-prelude/1": _validate_prelude,
     "repro-bench-store/1": _validate_store,
-    "repro-bench-parallel/1": _validate_parallel,
     "repro-bench-serve/1": _validate_serve,
     "repro-bench-stream/1": _validate_stream,
 }

@@ -29,7 +29,7 @@ Document layout (schema ``repro-sweep-spec/1``)::
     include:                   # extra cells outside the product
       - {trace: crc, engine: serial, prelude: python, warmth: cold}
     exclude:                   # drop product cells by subset match
-      - {engine: streaming, trace: fir}
+      - {engine: vectorized, trace: fir}
     execution:
       workers: 2
       timeout_s: 120.0

@@ -60,7 +60,7 @@ class Trace:
             address_bits = _required_bits(max_addr)
         if address_bits < 1:
             raise ValueError(f"address_bits must be >= 1, got {address_bits}")
-        if max_addr >= (1 << address_bits):
+        if max_addr.bit_length() > address_bits:
             raise ValueError(
                 f"address {max_addr:#x} does not fit in {address_bits} bits"
             )

@@ -62,9 +62,12 @@ def grid_cells(
     reference cell is always present even when a subset is requested,
     because every comparison is against it.
     """
+    # dict.fromkeys: aliases of one engine make one cell, not several.
     engine_list = tuple(
-        _engines.canonical_name(e)
-        for e in (engines or _engines.engine_names(include_auto=False))
+        dict.fromkeys(
+            _engines.canonical_name(e)
+            for e in (engines or _engines.engine_names(include_auto=False))
+        )
     )
     prelude_list = tuple(preludes or _engines.PRELUDE_MODES)
     for prelude in prelude_list:
@@ -152,14 +155,12 @@ def _run_cell(
     budgets: Sequence[int],
     cell: GridCell,
     store,
-    processes: int,
     tamper: Optional[Tamper],
 ) -> List[ExplorationResult]:
     explorer = AnalyticalCacheExplorer(
         trace,
         engine=cell.engine,
         prelude=cell.prelude,
-        processes=processes,
         store=store,
     )
     results = []
@@ -412,7 +413,6 @@ def run_grid(
     trace: Trace,
     budgets: Sequence[int],
     cells: Optional[Sequence[GridCell]] = None,
-    processes: int = 2,
     tamper: Optional[Tamper] = None,
     simulate: bool = True,
     recorder=None,
@@ -428,7 +428,6 @@ def run_grid(
         cells: grid cells (default: the full grid); the reference cell
             is run first and must be present (``grid_cells`` guarantees
             it).
-        processes: worker count for the ``parallel`` engine's cells.
         tamper: optional fault-injection hook (tests only).
         simulate: also cross-check the reference results against the
             cache simulator (exactness + budget + minimality).
@@ -459,14 +458,10 @@ def run_grid(
             store = ArtifactStore(tmp)
             # Pre-populate so every warm cell genuinely warm-starts: the
             # priming run is reference-configured and not a grid cell.
-            _run_cell(
-                trace, budgets, REFERENCE_CELL, store, processes, tamper=None
-            )
+            _run_cell(trace, budgets, REFERENCE_CELL, store, tamper=None)
         for cell in cell_list:
             cell_store = store if cell.warmth == "warm" else None
-            results = _run_cell(
-                trace, budgets, cell, cell_store, processes, tamper
-            )
+            results = _run_cell(trace, budgets, cell, cell_store, tamper)
             outcome.cells_run += 1
             signature = result_signature(results)
             if cell == REFERENCE_CELL:

@@ -78,7 +78,6 @@ class VerifyConfig:
             ``"all"`` (every law on every trace) or ``"none"``.
         policies: non-LRU replacement policies to run through the
             policy oracle on every trace (empty skips the axis).
-        processes: worker count for the ``parallel`` engine's cells.
         corpus_dir: failure-corpus directory; ``None`` disables both
             replay-from-disk and persistence.
         shrink: minimize new failures before persisting.
@@ -94,7 +93,6 @@ class VerifyConfig:
     include_warm: bool = True
     laws: str = "rotate"
     policies: Tuple[str, ...] = ()
-    processes: int = 2
     corpus_dir: Optional[str] = None
     shrink: bool = True
     max_shrink_checks: int = 300
@@ -199,7 +197,6 @@ def _make_recheck(
     cell: Optional[str],
     law: Optional[str],
     tamper: Optional[Tamper],
-    processes: int,
 ) -> Callable[[Trace], bool]:
     """A targeted failure re-check for the shrinker.
 
@@ -217,7 +214,6 @@ def _make_recheck(
                 trace,
                 budgets,
                 cells=cells,
-                processes=processes,
                 tamper=tamper,
                 simulate=False,
                 stream_splits=-1,
@@ -232,7 +228,6 @@ def _make_recheck(
                 trace,
                 budgets,
                 cells=(REFERENCE_CELL,),
-                processes=processes,
                 tamper=tamper,
                 simulate=True,
                 stream_splits=-1,
@@ -375,9 +370,7 @@ def run_verify(
         )
         shrunk_trace = entry.trace
         if config.shrink and entry.origin != "corpus":
-            recheck = _make_recheck(
-                failure.kind, budgets, cell, law, tamper, config.processes
-            )
+            recheck = _make_recheck(failure.kind, budgets, cell, law, tamper)
             with recorder.phase("verify:shrink"):
                 shrunk = shrink_trace(
                     entry.trace,
@@ -415,7 +408,6 @@ def run_verify(
             entry.trace,
             entry.budgets,
             cells=cells,
-            processes=config.processes,
             tamper=tamper,
             simulate=True,
             recorder=recorder,

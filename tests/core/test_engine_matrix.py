@@ -1,7 +1,7 @@
 """Cross-engine differential matrix: every engine x every panel trace.
 
 Every registered engine (plus the ``auto`` policy and the legacy
-``bitmask`` alias) must produce LevelHistograms bit-identical to the
+aliases) must produce LevelHistograms bit-identical to the
 serial reference — same levels, same distances, same counts — and hence
 identical minimum-associativity tables, on the paper's running example,
 synthetic loops, and real workload traces.
@@ -24,13 +24,6 @@ from tests.conftest import PAPER_TRACE_BITS
 WORKLOADS = ("crc", "fir", "ucbqsort")
 
 ALL_ENGINE_NAMES = engines.engine_names() + tuple(engines.ALIASES)
-
-
-def _compute(engine, inputs, **options):
-    """Dispatch one shared option set to any engine, like the explorer does:
-    only the options an engine declares are forwarded."""
-    spec = engines.resolve_engine(engine, inputs)
-    return spec.compute(inputs, **spec.filter_options(options))
 
 
 def _panel(tiny_runs):
@@ -65,7 +58,7 @@ def serial_reference(panel):
 def test_histograms_bit_identical_to_serial(engine, panel, serial_reference):
     for trace in panel:
         inputs = engines.EngineInputs(trace)
-        histograms = _compute(engine, inputs, processes=2)
+        histograms = engines.compute_histograms(engine, inputs)
         expected = serial_reference[trace.name]
         assert sorted(histograms) == sorted(expected), trace.name
         for level, reference in expected.items():
@@ -79,7 +72,7 @@ def test_min_associativity_tables_identical(engine, panel, serial_reference):
     """The exploration output — A_min per (depth, budget) — must agree."""
     for trace in panel:
         inputs = engines.EngineInputs(trace)
-        histograms = _compute(engine, inputs, processes=2)
+        histograms = engines.compute_histograms(engine, inputs)
         expected = serial_reference[trace.name]
         for level, reference in expected.items():
             for budget in (0, 2, 10):
@@ -127,15 +120,10 @@ def test_cached_runs_identical_to_uncached(engine, tiny_runs, tmp_path):
 
 def test_registry_lists_all_expected_engines():
     names = engines.engine_names()
-    assert names == (
-        "serial",
-        "parallel",
-        "parallel-shm",
-        "streaming",
-        "vectorized",
-        "auto",
-    )
+    assert names == ("serial", "vectorized", "auto")
     assert engines.canonical_name("bitmask") == "serial"
+    for retired in ("parallel", "parallel-shm", "streaming"):
+        assert engines.canonical_name(retired) == "vectorized"
     with pytest.raises(ValueError, match="unknown engine"):
         engines.canonical_name("warp-drive")
     with pytest.raises(ValueError, match="already taken"):
@@ -145,7 +133,7 @@ def test_registry_lists_all_expected_engines():
                 summary="",
                 memory="",
                 best_for="",
-                runner=lambda inputs, max_level=None, **_: {},
+                runner=lambda inputs, max_level=None: {},
             )
         )
 

@@ -7,6 +7,10 @@ from repro.core.explorer import AnalyticalCacheExplorer
 from repro.core.vectorized import numpy_available
 from repro.trace.strip import strip_trace
 from repro.trace.synthetic import loop_nest_trace, random_trace, zipf_trace
+from repro.trace.trace import Trace
+
+#: Every name an engine argument accepts: the registry plus legacy aliases.
+ACCEPTED_NAMES = AnalyticalCacheExplorer.ENGINES + tuple(engines.ALIASES)
 
 
 class TestEngineSelection:
@@ -14,56 +18,19 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="unknown engine"):
             AnalyticalCacheExplorer(loop_nest_trace(4, 2), engine="magic")
 
-    def test_bad_process_count_rejected(self):
-        with pytest.raises(ValueError, match="processes"):
+    def test_processes_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="processes"):
             AnalyticalCacheExplorer(
-                loop_nest_trace(4, 2), engine="parallel", processes=0
+                loop_nest_trace(4, 2), engine="parallel", processes=2
             )
 
-    @pytest.mark.parametrize("engine", AnalyticalCacheExplorer.ENGINES)
+    @pytest.mark.parametrize("engine", ACCEPTED_NAMES)
     def test_every_engine_accepted(self, engine):
         explorer = AnalyticalCacheExplorer(
             loop_nest_trace(8, 4), engine=engine
         )
         assert explorer.engine == engine
-
-
-class TestOptionValidation:
-    """Regression: unknown options used to be silently swallowed by
-    ``**_`` in every runner — a typo'd ``proceses=8`` ran the default
-    configuration without a whisper."""
-
-    def test_typod_option_raises(self):
-        inputs = engines.EngineInputs(loop_nest_trace(8, 4))
-        with pytest.raises(ValueError, match="proceses"):
-            engines.compute_histograms("parallel", inputs, proceses=8)
-
-    def test_option_foreign_to_engine_raises(self):
-        inputs = engines.EngineInputs(loop_nest_trace(8, 4))
-        with pytest.raises(
-            ValueError, match=r"engine 'serial'.*processes.*\(none\)"
-        ):
-            engines.compute_histograms("serial", inputs, processes=2)
-
-    def test_error_names_accepted_options(self):
-        spec = engines.get_engine("parallel")
-        with pytest.raises(ValueError, match="processes, split_level"):
-            spec.compute(engines.EngineInputs(loop_nest_trace(8, 4)), bogus=1)
-
-    def test_declared_options_per_engine(self):
-        assert engines.get_engine("parallel").options == (
-            "processes",
-            "split_level",
-        )
-        for name in ("serial", "streaming", "vectorized"):
-            assert engines.get_engine(name).options == ()
-
-    def test_filter_options_keeps_only_declared(self):
-        shared = {"processes": 3, "split_level": 1}
-        assert engines.get_engine("parallel").filter_options(shared) == shared
-        assert engines.get_engine("serial").filter_options(shared) == {}
-        assert engines.get_engine("parallel").accepts("processes")
-        assert not engines.get_engine("serial").accepts("processes")
+        assert explorer.resolved_engine in AnalyticalCacheExplorer.ENGINES
 
 
 class TestAutoSelection:
@@ -85,6 +52,16 @@ class TestAutoSelection:
         assert engines.choose_auto(None) == "serial"
 
     @pytest.mark.skipif(not numpy_available(), reason="needs NumPy")
+    def test_million_refs_pick_vectorized(self):
+        # Regression: auto escalated to the retired parallel-shm engine
+        # from 10^6 refs, slower than vectorized on every measured trace.
+        from array import array
+
+        trace = Trace(array("q", bytes(8 * 1_000_000)), address_bits=1)
+        assert engines.choose_auto(trace) == "vectorized"
+        assert engines.AUTO_CANDIDATES == ("serial", "vectorized")
+
+    @pytest.mark.skipif(not numpy_available(), reason="needs NumPy")
     def test_resolve_engine_uses_injected_stripped(self):
         trace = random_trace(4 * engines.AUTO_MIN_UNIQUE,
                              2 * engines.AUTO_MIN_UNIQUE, seed=0)
@@ -103,7 +80,7 @@ class TestEngineEquivalence:
     def test_identical_histograms_across_engines(self, seed):
         trace = zipf_trace(300, 60, seed=seed)
         reference = AnalyticalCacheExplorer(trace, engine="bitmask").histograms
-        for engine in ("streaming", "parallel"):
+        for engine in ("vectorized", "auto"):
             other = AnalyticalCacheExplorer(trace, engine=engine).histograms
             assert sorted(reference) == sorted(other)
             for level in reference:
@@ -112,7 +89,7 @@ class TestEngineEquivalence:
                     level,
                 )
 
-    @pytest.mark.parametrize("engine", AnalyticalCacheExplorer.ENGINES)
+    @pytest.mark.parametrize("engine", ACCEPTED_NAMES)
     def test_identical_exploration_results(self, engine):
         trace = random_trace(250, 40, seed=3)
         reference = AnalyticalCacheExplorer(trace).explore(5)

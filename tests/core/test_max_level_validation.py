@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import engines
-from repro.core.parallel import compute_level_histograms_parallel
 from repro.core.postlude import compute_level_histograms as bcat_postlude
 from repro.core.postlude import validate_max_level
 from repro.core.streaming import (
@@ -29,6 +28,7 @@ TRACE = Trace([1, 2, 3, 1, 2, 3, 7, 1, 9, 2, 3, 7], address_bits=4)
 
 NEGATIVES = [-1, -7]
 
+#: The registered engines plus two retired names, now aliases of ``vectorized``.
 ENGINES = ("serial", "parallel", "streaming", "vectorized")
 
 
@@ -77,14 +77,6 @@ class TestEnginesRaiseUniformly:
         inputs = engines.EngineInputs(TRACE)
         with pytest.raises(ValueError, match="max_level must be >= 0"):
             bcat_postlude(inputs.zerosets, inputs.mrct, max_level=level)
-
-    @pytest.mark.parametrize("level", NEGATIVES)
-    def test_parallel_direct(self, level) -> None:
-        inputs = engines.EngineInputs(TRACE)
-        with pytest.raises(ValueError, match="max_level must be >= 0"):
-            compute_level_histograms_parallel(
-                inputs.zerosets, inputs.mrct, max_level=level, processes=2
-            )
 
     @pytest.mark.parametrize("level", NEGATIVES)
     def test_vectorized_direct(self, level) -> None:

@@ -87,13 +87,13 @@ class TestFigure3BCAT:
         assert build_bcat(zerosets).depth == 4
 
 
-#: Every registered engine x every prelude mode: the paper's worked
-#: example must come out identical from all of them (it is also the
-#: first corpus entry of the verification oracle grid — see
-#: tests/verify/test_generators.py).
+#: Every accepted engine name (legacy aliases included) x every prelude
+#: mode: the paper's worked example must come out identical from all of
+#: them (it is also the first corpus entry of the verification oracle
+#: grid — see tests/verify/test_generators.py).
 ENGINE_GRID = [
     (engine, prelude)
-    for engine in _engines.engine_names()
+    for engine in _engines.engine_names() + tuple(_engines.ALIASES)
     for prelude in _engines.PRELUDE_MODES
 ]
 

@@ -297,7 +297,7 @@ class TestAutoCalibration:
     """``auto`` only ever picks from AUTO_CANDIDATES (BENCH-calibrated)."""
 
     def test_candidates_exclude_bigint_parallel_and_streaming(self):
-        assert engines.AUTO_CANDIDATES == ("serial", "vectorized", "parallel-shm")
+        assert engines.AUTO_CANDIDATES == ("serial", "vectorized")
 
     @pytest.mark.parametrize(
         "trace",

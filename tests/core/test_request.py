@@ -108,14 +108,30 @@ class TestExploreEngineBugfix:
     def test_engine_choice_is_honored(self):
         trace = zipf_trace(400, 40, seed=3)
         recorder = Recorder()
-        explore(trace, 0, engine="streaming", recorder=recorder)
-        assert recorder.find("engine:streaming") is not None
+        explore(trace, 0, engine="vectorized", recorder=recorder)
+        assert recorder.find("engine:vectorized") is not None
 
     def test_alias_and_all_engines_agree(self, parity_traces):
         trace = parity_traces[0]
         reference = explore(trace, 1, engine="serial").to_json_dict()
-        for engine in ("parallel", "streaming", "vectorized", "auto", "bitmask"):
+        for engine in (
+            "parallel",
+            "parallel-shm",
+            "streaming",
+            "vectorized",
+            "auto",
+            "bitmask",
+        ):
             assert explore(trace, 1, engine=engine).to_json_dict() == reference
+        # The retired names run vectorized, and their reports say so.
+        vectorized = explore_request(
+            ExplorationRequest.single(trace, budget=1, engine="vectorized")
+        ).to_json_dict()
+        for alias in ("parallel", "parallel-shm", "streaming"):
+            report = explore_request(
+                ExplorationRequest.single(trace, budget=1, engine=alias)
+            )
+            assert report.to_json_dict() == vectorized, alias
 
     def test_store_passes_through(self, tmp_path):
         trace = zipf_trace(300, 30, seed=9)
@@ -361,7 +377,7 @@ class TestReport:
         trace = _paper_trace()
         report = explore_request(ExplorationRequest.single(trace, budget=0))
         assert isinstance(report, ExplorationReport)
-        assert report.engine in ("serial", "parallel", "streaming", "vectorized")
+        assert report.engine in ("serial", "vectorized")
         assert report.result is report.results[0]
         payload = report.to_json_dict()
         assert payload["mode"] == "single"

@@ -103,11 +103,13 @@ class TestProfileTelemetry:
         manifest_file = tmp_path / "profile.json"
         assert main(
             ["profile", trace_file, "--engine", "parallel",
-             "--processes", "2", "-o", str(manifest_file)]
+             "-o", str(manifest_file)]
         ) == 0
         document = self._load_valid_manifest(manifest_file)
-        assert document["engine"] == "parallel"
-        assert document["options"] == {"processes": 2}
+        # a retired engine name answers through the engine that ran
+        assert document["engine"] == "vectorized"
+        assert document["requested_engine"] == "parallel"
+        assert document["options"] == {}
         assert "wrote run manifest" in capsys.readouterr().err
 
     def test_profile_defaults_to_percent_budget(self, trace_file, capsys):
@@ -430,8 +432,9 @@ class TestCache:
         with pytest.raises(SystemExit):
             main(["--help"])
         out = capsys.readouterr().out
-        assert "serial, parallel, parallel-shm, streaming, vectorized, auto" in out
+        assert "histogram engines: serial, vectorized, auto" in out
         assert "bitmask -> serial" in out
+        assert "parallel-shm -> vectorized" in out
 
 
 class TestParser:

@@ -12,10 +12,15 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.core import engines
+from repro.core.streaming import compute_level_histograms_streaming
 from repro.stream import TraceSession
 from repro.trace.trace import Trace
 
-FAST_ENGINES = ("serial", "streaming", "vectorized")
+#: The batch streaming kernel: no engine any more, but the pass behind
+#: ``repro.stream``, so it is held to the same bounds.
+STREAMING_KERNEL = "streaming kernel"
+
+FAST_ENGINES = engines.engine_names(include_auto=False) + (STREAMING_KERNEL,)
 
 
 @st.composite
@@ -42,10 +47,10 @@ def bounded_cases(draw, max_length=80, max_bits=6):
 
 
 def _histograms(trace, name, max_level, prelude="auto"):
+    if name == STREAMING_KERNEL:
+        return compute_level_histograms_streaming(trace, max_level=max_level)
     inputs = engines.EngineInputs(trace, prelude=prelude)
-    spec = engines.resolve_engine(name, inputs)
-    options = spec.filter_options({"processes": 2})
-    return spec.compute(inputs, max_level=max_level, **options)
+    return engines.compute_histograms(name, inputs, max_level=max_level)
 
 
 @given(case=bounded_cases())

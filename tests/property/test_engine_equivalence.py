@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import simulate_trace
 from repro.core import engines
+from repro.core.streaming import compute_level_histograms_streaming
 from repro.trace.trace import Trace
 
-FAST_ENGINES = ("serial", "streaming", "vectorized")
+FAST_ENGINES = engines.engine_names(include_auto=False)
 
 
 @st.composite
@@ -33,13 +34,12 @@ def reuse_traces(draw, max_length=120, max_bits=8):
     return Trace(sequence, address_bits=bits)
 
 
-def _histograms_per_engine(trace, names, processes=2):
+def _histograms_per_engine(trace, names):
+    """Each engine's histograms, plus the batch streaming kernel's (no
+    engine any more, but the pass behind ``repro.stream``)."""
     inputs = engines.EngineInputs(trace)
-    results = {}
-    for name in names:
-        spec = engines.resolve_engine(name, inputs)
-        options = spec.filter_options({"processes": processes})
-        results[name] = spec.compute(inputs, **options)
+    results = {name: engines.compute_histograms(name, inputs) for name in names}
+    results["streaming kernel"] = compute_level_histograms_streaming(trace)
     return results
 
 
@@ -64,9 +64,7 @@ def test_engines_match_brute_force_simulation(trace, depth_log, assoc):
     simulated = simulate_trace(
         trace, CacheConfig(depth=depth, associativity=assoc)
     ).non_cold_misses
-    inputs = engines.EngineInputs(trace)
-    for name in FAST_ENGINES:
-        histograms = engines.compute_histograms(name, inputs)
+    for name, histograms in _histograms_per_engine(trace, FAST_ENGINES).items():
         histogram = histograms.get(depth_log)
         # Depths beyond the BCAT are conflict-free: zero non-cold misses.
         analytical = histogram.misses(assoc) if histogram is not None else 0
@@ -77,8 +75,8 @@ def test_engines_match_brute_force_simulation(trace, depth_log, assoc):
 @given(trace=reuse_traces(max_length=3000, max_bits=11))
 @settings(max_examples=25, deadline=None)
 def test_all_engines_agree_on_larger_traces(trace):
-    """Including the multiprocessing engine, on traces up to a few thousand
-    references with wider address ranges."""
+    """On traces up to a few thousand references with wider address
+    ranges."""
     names = engines.engine_names(include_auto=False)
     results = _histograms_per_engine(trace, names)
     reference = results["serial"]

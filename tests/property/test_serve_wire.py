@@ -81,7 +81,6 @@ def requests(draw):
         include_depth_one=draw(st.booleans()) if mode == "single" else False,
         line_sizes=(1, 2, 4) if mode == "linesize" else ExplorationRequest.__dataclass_fields__["line_sizes"].default,
         engine=draw(st.sampled_from(["auto", "serial"])),
-        processes=draw(st.integers(1, 4)),
         prelude=draw(st.sampled_from(["auto", "python"])),
     )
 

@@ -48,8 +48,6 @@ class TestValidation:
             ScenarioSpec(engine="warp")
         with pytest.raises(ValueError, match="prelude"):
             ScenarioSpec(prelude="fastest")
-        with pytest.raises(ValueError, match="processes"):
-            ScenarioSpec(processes=0)
         with pytest.raises(ValueError, match="max_depth"):
             ScenarioSpec(max_depth=7)
 

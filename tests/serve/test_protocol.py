@@ -79,7 +79,6 @@ class TestRequestCodec:
             max_depth=8,
             include_depth_one=True,
             engine="serial",
-            processes=3,
             prelude="python",
         )
         rebuilt = request_from_wire(request_to_wire(request))

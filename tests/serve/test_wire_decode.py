@@ -5,7 +5,9 @@ than item by item.  These tests pin what that must not change: the
 error text for every kind of bad element, and the dedup keys of the
 ``/1``, ``/1.1`` and ``/1.2`` documents.  They also pin what it adds:
 an address beyond 64-bit signed range is a clean 400 on both explore
-routes, and the daemon decodes each request exactly once.
+routes, and the daemon decodes each request exactly once.  The retired
+``processes`` field is still checked on every revision, then ignored;
+an ``address_bits`` wider than a dinero address is a clean 400.
 """
 
 from __future__ import annotations
@@ -148,10 +150,11 @@ class TestPinnedErrorText:
 
 
 class TestPinnedKeys:
-    """Dedup keys recorded before the bulk decoder and the one-decode daemon."""
+    """Dedup keys of the canonical request dict, which carries no
+    ``processes`` (it cannot change an answer)."""
 
-    TINY = "a65a7ab0ddbd2a2f2b41cc8bca945e6239635c7b53f880b9aa6821f35be90128"
-    TYPED = "688770fc8da6982d35fc32b0b001c137b5f6f0d3ac01cbe963e23656c664968d"
+    TINY = "352901990c155640b38a755b09c8de1b849a6bc0bf277eaf7edfcf0c5ceac338"
+    TYPED = "bbf86121ee375b5f0d284ba70222de0e56330fd5bd734d3b2a87a5157052dcdc"
 
     @pytest.mark.parametrize("schema", SCHEMAS)
     def test_revision_fixtures(self, tiny_trace, typed_trace, schema) -> None:
@@ -166,14 +169,14 @@ class TestPinnedKeys:
             scenario={"policy": "fifo", "l2_depth": 8, "cost_model": "energy"},
         )
         assert request_key(document) == (
-            "9d1624bc49dc44b2faab6c8ba5a89b2bb81c4a790b76c62e9e1850dee142435d"
+            "dfa7d491f31f642be04380c0da23ffbad357212056092f8af9d3ad9747670845"
         )
 
     def test_max_level_fixture(self, tiny_trace) -> None:
         document = wire_document(tiny_trace, "repro-serve-request/1.1")
         document.update(max_level=3, engine="serial")
         assert request_key(document) == (
-            "31589be2d93bff3f24d96aab2afc25fd13671a2324de3384269b179ae83a6567"
+            "0af71f3cad0a2b87ea736dc97caf5384bc7ee5adcfe64a25478c6534a02ba13d"
         )
 
     @pytest.mark.parametrize("schema", SCHEMAS)
@@ -281,3 +284,96 @@ class TestHostileAddresses:
         metrics = client.metrics()
         assert metrics["serve_errors_total"] == 1
         assert metrics["serve_requests_total"] == 0
+
+
+class TestProcessesField:
+    """``processes`` sized the retired parallel engines' worker pools.
+    The wire still accepts and checks it on every revision, then drops
+    it: it cannot change an answer."""
+
+    @pytest.mark.parametrize("schema", SCHEMAS)
+    def test_accepted_and_ignored(self, tiny_trace, schema) -> None:
+        plain = wire_document(tiny_trace, schema)
+        document = dict(plain, processes=7)
+        assert request_key(document) == request_key(plain)
+        assert not hasattr(request_from_wire(document), "processes")
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"processes": "2"}, "request: request.processes must be an integer"),
+            ({"processes": True}, "request: request.processes must be an integer"),
+            ({"processes": 2.0}, "request: request.processes must be an integer"),
+            ({"processes": 0}, "request: processes must be >= 1"),
+            ({"processes": -3}, "request: processes must be >= 1"),
+            ({"processes": 0, "max_depth": 7}, "request: processes must be >= 1"),
+            (
+                {"processes": 0, "prelude": "x"},
+                "request: prelude must be one of ('auto', 'fast', 'python'), "
+                "got 'x'",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("schema", SCHEMAS)
+    def test_errors_keep_their_text(self, tiny_trace, schema, extra, message) -> None:
+        document = wire_document(tiny_trace, schema)
+        document.update(extra)
+        assert decode_error(document) == message
+
+    def test_unknown_engine_still_wins(self, tiny_trace) -> None:
+        document = wire_document(tiny_trace)
+        document.update(engine="warp", processes=0)
+        assert decode_error(document).startswith("request: unknown engine 'warp'")
+
+    def test_documents_differing_in_processes_compute_once(
+        self, live_server, tiny_request
+    ) -> None:
+        server = live_server(pool=WorkerPool(workers=1, kind="inline"))
+        client = server.client()
+        documents = [
+            dict(request_to_wire(tiny_request), processes=processes)
+            for processes in (2, 5)
+        ]
+        first, second = client.explore_batch_wire(documents)
+        assert first["report"] == second["report"]
+        metrics = client.metrics()
+        assert metrics["serve_requests_total"] == 2
+        assert metrics["serve_computations_total"] == 1
+
+
+class TestHostileAddressBits:
+    """``address_bits`` above 64 (a dinero address's width) is a clean
+    400 on every route that takes one; the daemon keeps answering."""
+
+    HUGE = 2**63
+
+    def test_trace_codec_bound(self, tiny_trace) -> None:
+        wire = trace_to_wire(tiny_trace)
+        wire["address_bits"] = protocol.MAX_ADDRESS_BITS
+        assert trace_from_wire(wire).address_bits == 64
+        wire["address_bits"] = 65
+        with pytest.raises(ProtocolError) as excinfo:
+            trace_from_wire(wire)
+        assert str(excinfo.value) == "trace: address_bits must be <= 64, got 65"
+
+    def test_every_route_answers_400(self, live_server, tiny_request) -> None:
+        server = live_server(pool=WorkerPool(workers=1, kind="inline"))
+        client = server.client()
+        hostile = request_to_wire(tiny_request)
+        hostile["traces"][0]["address_bits"] = self.HUGE
+        calls = [
+            lambda: client.explore_wire(hostile),
+            lambda: client.explore_batch_wire(
+                [request_to_wire(tiny_request), hostile]
+            ),
+            lambda: client.session_create(self.HUGE),
+        ]
+        for count, call in enumerate(calls, start=1):
+            with pytest.raises(ServeError) as excinfo:
+                call()
+            assert excinfo.value.status == 400
+            assert "address_bits must be <= 64" in str(excinfo.value)
+            assert client.metrics()["serve_errors_total"] == count
+        # the daemon is still answering
+        assert client.explore(tiny_request).budgets == (0, 1)
+        assert client.session_create(64)["address_bits"] == 64

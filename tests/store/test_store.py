@@ -234,7 +234,14 @@ class TestWarmStart:
         serial = AnalyticalCacheExplorer(
             trace, store=store, engine="serial"
         ).explore(2)
-        for engine in ("streaming", "parallel", "vectorized", "auto", "bitmask"):
+        for engine in (
+            "streaming",
+            "parallel",
+            "parallel-shm",
+            "vectorized",
+            "auto",
+            "bitmask",
+        ):
             warm_store = ArtifactStore(tmp_path / "s")
             result = AnalyticalCacheExplorer(
                 trace, store=warm_store, engine=engine

@@ -15,7 +15,6 @@ BENCH_FILES = {
     "postlude": "BENCH_postlude.json",
     "prelude": "BENCH_prelude.json",
     "store": "BENCH_store.json",
-    "parallel": "BENCH_parallel.json",
     "serve": "BENCH_serve.json",
     "stream": "BENCH_stream.json",
 }
@@ -93,12 +92,6 @@ class TestRejections:
         document = copy.deepcopy(load("store"))
         document["results"][0]["warm_hits"] = 0
         with pytest.raises(ValueError, match="never hit the store"):
-            validate_bench(document)
-
-    def test_parallel_unknown_engine_rejected(self):
-        document = copy.deepcopy(load("parallel"))
-        document["results"][0]["engine"] = "serial"
-        with pytest.raises(ValueError, match="unexpected engine"):
             validate_bench(document)
 
     def test_serve_request_accounting_enforced(self):

@@ -28,6 +28,12 @@ class TestConstruction:
     def test_address_too_wide_for_declared_bits(self):
         with pytest.raises(ValueError, match="does not fit"):
             Trace([16], address_bits=4)
+        with pytest.raises(ValueError, match="does not fit in 4 bits"):
+            Trace([2**63 - 1], address_bits=4)
+
+    def test_huge_declared_width_needs_no_huge_int(self):
+        # Regression: the fit check built 1 << address_bits (MemoryError).
+        assert Trace([1], address_bits=2**63).address_bits == 2**63
 
     def test_negative_address_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):

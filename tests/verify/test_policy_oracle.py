@@ -30,12 +30,7 @@ class TestPolicyOracle:
 
     def test_grid_carries_the_policy_axis(self):
         entry = anchor_entries()[0]
-        outcome = run_grid(
-            entry.trace,
-            entry.budgets,
-            processes=1,
-            policies=("fifo",),
-        )
+        outcome = run_grid(entry.trace, entry.budgets, policies=("fifo",))
         assert outcome.ok
 
     def test_runner_config_validates_policies(self):

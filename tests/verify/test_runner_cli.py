@@ -156,6 +156,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "verify:" in out
+        assert "8 traces x 12 grid cells" in out  # the full grid
         assert "all cells bit-identical" in out
 
     def test_json_output(self, capsys):
