@@ -1399,8 +1399,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--prelude",
         default="auto",
         choices=list(_engines.PRELUDE_MODES),
-        help="prelude builder: fast NumPy/Fenwick kernels or the "
-        "paper-faithful python builders (default: auto)",
+        help="prelude builder: auto (fast is a synonym) runs the NumPy "
+        "kernels, or pure-Python fallbacks without NumPy; python runs "
+        "the paper-faithful builders (default: auto)",
     )
     p.add_argument(
         "--profile",
@@ -1433,8 +1434,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--prelude",
         default="auto",
         choices=list(_engines.PRELUDE_MODES),
-        help="prelude builder: fast NumPy/Fenwick kernels or the "
-        "paper-faithful python builders (default: auto)",
+        help="prelude builder: auto (fast is a synonym) runs the NumPy "
+        "kernels, or pure-Python fallbacks without NumPy; python runs "
+        "the paper-faithful builders (default: auto)",
     )
     p.add_argument(
         "--no-memory",

@@ -34,8 +34,9 @@ All engines consume the same :class:`EngineInputs` bundle, which builds
 the prelude products (stripped trace, zero/one sets, MRCT — and, for
 the fused path, the packed MRCT) lazily and exactly once, so switching
 engines never repeats the prelude.  The ``prelude`` mode selects the
-builders: ``auto`` (fast kernels when they pay), ``fast`` (always the
-fast kernels), ``python`` (the paper-faithful reference builders).
+builders: ``python`` the paper-faithful reference builders, ``auto``
+(``fast`` is a synonym) the NumPy kernels at every trace size, or the
+pure-Python fallbacks without NumPy.
 """
 
 from __future__ import annotations
@@ -79,7 +80,8 @@ AUTO_MIN_UNIQUE = 1024
 #: The only engines ``auto`` may return.
 AUTO_CANDIDATES = ("serial", "vectorized")
 
-#: Prelude builder modes accepted by :class:`EngineInputs`.
+#: Prelude builder modes accepted by :class:`EngineInputs`.  ``fast``
+#: is kept as a synonym of ``auto``: both run the same builders.
 PRELUDE_MODES = ("auto", "fast", "python")
 
 #: Legacy names still accepted everywhere an engine name is.  The three
@@ -117,11 +119,10 @@ class EngineInputs:
             ``trace`` is ``None`` (injected products have no digest to
             address them by).
         prelude: which builders construct the prelude products —
-            ``"auto"`` (fast kernels when they pay for themselves),
-            ``"fast"`` (always the fast kernels, degrading gracefully
-            without NumPy), or ``"python"`` (the paper-faithful
-            reference builders only).  Every mode produces identical
-            products.
+            ``"python"`` (the paper-faithful reference builders only)
+            or ``"auto"``/``"fast"`` (synonyms: the NumPy kernels at
+            every size, the pure-Python fallbacks without NumPy).
+            Every mode produces identical products.
     """
 
     def __init__(
@@ -278,45 +279,26 @@ class EngineInputs:
         """Run the strip builder selected by the prelude mode."""
         if self.prelude == "python":
             return strip_trace(trace)
-        if self.prelude == "fast":
-            from repro.trace.strip import strip_trace_numpy
-
-            try:
-                return strip_trace_numpy(trace)
-            except ImportError:
-                return strip_trace(trace)
         from repro.trace.strip import strip_trace_auto
 
         return strip_trace_auto(trace)
 
     def _build_zerosets(self, stripped: StrippedTrace) -> ZeroOneSets:
         """Run the zero/one-set builder selected by the prelude mode."""
-        if self.prelude != "python":
-            from repro.core.vectorized import numpy_available
-            from repro.core.zerosets import build_zero_one_sets_numpy
-            from repro.trace.strip import NUMPY_STRIP_MIN_REFS
+        from repro.core.vectorized import numpy_available
 
-            if numpy_available() and (
-                self.prelude == "fast" or stripped.n >= NUMPY_STRIP_MIN_REFS
-            ):
-                return build_zero_one_sets_numpy(stripped)
-        return build_zero_one_sets(stripped)
+        if self.prelude == "python" or not numpy_available():
+            return build_zero_one_sets(stripped)
+        from repro.core.zerosets import build_zero_one_sets_numpy
+
+        return build_zero_one_sets_numpy(stripped)
 
     def _build_mrct(self, stripped: StrippedTrace) -> MRCT:
         """Run the MRCT builder selected by the prelude mode."""
         if self.prelude == "python":
             return build_mrct(stripped)
-        from repro.core.prelude_fast import (
-            build_mrct_auto,
-            build_mrct_fast,
-            build_mrct_fenwick,
-        )
-        from repro.core.vectorized import numpy_available
+        from repro.core.prelude_fast import build_mrct_auto
 
-        if self.prelude == "fast":
-            if numpy_available():
-                return build_mrct_fast(stripped)
-            return build_mrct_fenwick(stripped)
         return build_mrct_auto(stripped)
 
     @property
@@ -564,13 +546,17 @@ def resolve_engine(name: str, inputs: Optional[EngineInputs] = None) -> EngineSp
 
     ``auto`` sizes by the raw trace when the inputs carry one, else by
     the already-built stripped trace (never triggering a prelude build
-    just to pick an engine).
+    just to pick an engine).  The postlude threshold applies when the
+    bigint MRCT is built, or will be whichever engine runs: the
+    ``python`` prelude has no fused path.
     """
     resolved = canonical_name(name)
     if resolved == AUTO_ENGINE:
         trace = inputs.trace if inputs is not None else None
         stripped = inputs.stripped_if_built if inputs is not None else None
-        prelude_ready = inputs is not None and inputs.mrct_if_built is not None
+        prelude_ready = inputs is not None and (
+            inputs.prelude == "python" or inputs.mrct_if_built is not None
+        )
         resolved = choose_auto(trace, stripped=stripped, prelude_ready=prelude_ready)
     return _REGISTRY[resolved]
 

@@ -38,9 +38,9 @@ class AnalyticalCacheExplorer:
             legacy alias), ``"vectorized"`` (NumPy bit-matrix kernel) or
             ``"auto"`` (default; picks ``vectorized`` for long traces
             when NumPy is available, else ``serial``).
-        prelude: prelude builder mode — ``"auto"`` (default; fast
-            NumPy/Fenwick kernels when they pay for themselves),
-            ``"fast"`` (always the fast kernels) or ``"python"`` (the
+        prelude: prelude builder mode — ``"auto"`` (default; the NumPy
+            kernels, or the pure-Python fallbacks without NumPy),
+            ``"fast"`` (a synonym of ``"auto"``) or ``"python"`` (the
             paper-faithful reference builders).  Every mode produces
             identical products and identical results.
         recorder: a :class:`repro.obs.Recorder` for per-phase telemetry;
@@ -95,6 +95,7 @@ class AnalyticalCacheExplorer:
             trace, recorder=self.recorder, store=store, prelude=prelude
         )
         self._histograms: Optional[Dict[int, LevelHistogram]] = None
+        self._spec: Optional[_engines.EngineSpec] = None
         self._statistics: Optional[TraceStatistics] = None
 
     # -- cached pipeline stages -------------------------------------------------
@@ -117,7 +118,16 @@ class AnalyticalCacheExplorer:
     @property
     def resolved_engine(self) -> str:
         """The concrete engine name this explorer runs (``auto`` resolved)."""
-        return _engines.resolve_engine(self.engine, self._inputs).name
+        return self._engine_spec().name
+
+    def _engine_spec(self) -> _engines.EngineSpec:
+        """The engine spec, resolved once: the report names what ran."""
+        if self._spec is None:
+            # Resolution is a phase of its own: picking "auto" may import
+            # NumPy, which dominates small-trace profiles if untracked.
+            with self.recorder.phase("resolve-engine"):
+                self._spec = _engines.resolve_engine(self.engine, self._inputs)
+        return self._spec
 
     @property
     def histograms(self) -> Dict[int, LevelHistogram]:
@@ -126,11 +136,9 @@ class AnalyticalCacheExplorer:
             max_level = None
             if self._max_depth is not None:
                 max_level = self._max_depth.bit_length() - 1
-            # Resolution is a phase of its own: picking "auto" may import
-            # NumPy, which dominates small-trace profiles if untracked.
-            with self.recorder.phase("resolve-engine"):
-                spec = _engines.resolve_engine(self.engine, self._inputs)
-            self._histograms = spec.compute(self._inputs, max_level=max_level)
+            self._histograms = self._engine_spec().compute(
+                self._inputs, max_level=max_level
+            )
         return self._histograms
 
     @property

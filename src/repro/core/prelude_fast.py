@@ -78,11 +78,6 @@ _SCATTER_WINDOW_BUDGET = 32_000_000
 #: temporaries at a few hundred MB independent of total tail size.
 _SCATTER_CHUNK = 8_000_000
 
-#: Below this trace length the classic LRU-stack builder wins — the
-#: NumPy kernel's argsorts and block setup cost more than they save
-#: (calibrated by benchmarks/bench_prelude.py).
-FAST_MRCT_MIN_REFS = 2048
-
 #: Thresholds for preferring the Fenwick builder over ``build_mrct``
 #: when NumPy is unavailable.  ``build_mrct`` costs the sum of stack
 #: distances (bounded by N·N'), the Fenwick builder a flat O(N log N);
@@ -610,17 +605,15 @@ def build_mrct_fenwick(stripped: StrippedTrace) -> MRCT:
 def build_mrct_auto(stripped: StrippedTrace) -> MRCT:
     """Pick the fastest exact MRCT builder for this trace.
 
-    NumPy + long trace → :func:`build_mrct_fast`; no NumPy but long,
-    reuse-heavy trace → :func:`build_mrct_fenwick`; otherwise the
-    classic :func:`repro.core.mrct.build_mrct` (lowest constants).
-    All three produce identical tables.
+    With NumPy, :func:`build_mrct_fast` at every size: it beats the
+    classic builder on all 24 PowerStone traces, down to 1,153 refs.
+    Without NumPy, a long, reuse-heavy trace takes
+    :func:`build_mrct_fenwick` and the rest the classic
+    :func:`repro.core.mrct.build_mrct` (lowest constants).  All three
+    produce identical tables.
     """
-    if _np is not None and stripped.n >= FAST_MRCT_MIN_REFS:
+    if _np is not None:
         return build_mrct_fast(stripped)
-    if (
-        _np is None
-        and stripped.n >= FENWICK_MIN_REFS
-        and stripped.n_unique >= FENWICK_MIN_UNIQUE
-    ):
+    if stripped.n >= FENWICK_MIN_REFS and stripped.n_unique >= FENWICK_MIN_UNIQUE:
         return build_mrct_fenwick(stripped)
     return build_mrct(stripped)

@@ -32,7 +32,10 @@ class ScenarioSpec:
 
     Attributes:
         engine: histogram engine name (see :mod:`repro.core.engines`).
-        prelude: prelude builder mode (``auto``/``fast``/``python``).
+        prelude: prelude builder mode: ``auto`` or its synonym
+            ``fast`` (NumPy kernels, pure-Python fallbacks without
+            NumPy), or ``python`` (the paper-faithful builders).  It is
+            part of the request key, so ``fast`` stays distinct there.
         max_depth: deepest cache depth to report (power of two).
         include_depth_one: also report the fully associative depth-1
             column.

@@ -316,6 +316,13 @@ def request_from_wire(document: object) -> ExplorationRequest:
             validate_max_level(max_level)
         except ValueError as exc:
             raise ProtocolError(f"request: {exc}") from exc
+        # One level per address bit: a deeper bound selects nothing more,
+        # and the shift below would build an arbitrarily large integer.
+        if max_level > MAX_ADDRESS_BITS:
+            raise ProtocolError(
+                f"request: max_level must be <= {MAX_ADDRESS_BITS}, "
+                f"got {max_level}"
+            )
         # The dataclass speaks depths; a level bound is exactly the
         # power-of-two depth it indexes.
         max_depth = 1 << max_level

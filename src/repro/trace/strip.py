@@ -128,23 +128,16 @@ def strip_trace_numpy(trace: Trace) -> StrippedTrace:
     )
 
 
-#: Below this trace length the hash-table strip wins: the NumPy sorts
-#: cost more than they save (calibrated by benchmarks/bench_prelude.py).
-NUMPY_STRIP_MIN_REFS = 4096
-
-
 def strip_trace_auto(trace: Trace) -> StrippedTrace:
-    """Strip with NumPy when available and the trace is long enough.
+    """Strip with NumPy when it is installed, at every trace length.
 
-    Falls back to the hash-table :func:`strip_trace` otherwise; both
+    Falls back to the hash-table :func:`strip_trace` without NumPy; both
     paths produce identical :class:`StrippedTrace` objects.
     """
-    if len(trace) >= NUMPY_STRIP_MIN_REFS:
-        try:
-            return strip_trace_numpy(trace)
-        except ImportError:
-            pass
-    return strip_trace(trace)
+    try:
+        return strip_trace_numpy(trace)
+    except ImportError:
+        return strip_trace(trace)
 
 
 def strip_trace_sorted(trace: Trace) -> StrippedTrace:

@@ -104,3 +104,50 @@ class TestEngineEquivalence:
                 trace, max_depth=8, engine=engine
             )
             assert max(explorer.histograms) == 3
+
+class TestAutoResolvedOnce:
+    """A single-mode request resolves ``auto`` once, and its report
+    names the engine that ran (the same name the two-call resolution
+    reported)."""
+
+    @pytest.fixture
+    def picks(self, monkeypatch):
+        calls, ran = [], []
+        choose, compute = engines.choose_auto, engines.EngineSpec.compute
+
+        def counting_choose(*args, **kwargs):
+            calls.append(choose(*args, **kwargs))
+            return calls[-1]
+
+        def recording_compute(spec, *args, **kwargs):
+            ran.append(spec.name)
+            return compute(spec, *args, **kwargs)
+
+        monkeypatch.setattr(engines, "choose_auto", counting_choose)
+        monkeypatch.setattr(engines.EngineSpec, "compute", recording_compute)
+        return calls, ran
+
+    @pytest.mark.parametrize("prelude", engines.PRELUDE_MODES)
+    @pytest.mark.parametrize(
+        "n", [1000, engines.AUTO_MIN_REFS, engines.AUTO_MIN_REFS_POSTLUDE]
+    )
+    def test_one_choice_per_request(self, picks, prelude, n):
+        from repro.core.request import ExplorationRequest, explore_request
+
+        calls, ran = picks
+        report = explore_request(
+            ExplorationRequest.single(
+                zipf_trace(n, 300, seed=4), percents=(5, 10, 20), prelude=prelude
+            )
+        )
+        threshold = (
+            engines.AUTO_MIN_REFS_POSTLUDE
+            if prelude == "python"
+            else engines.AUTO_MIN_REFS
+        )
+        expected = (
+            "vectorized" if numpy_available() and n >= threshold else "serial"
+        )
+        assert calls == [expected]
+        assert ran == [expected]
+        assert report.engine == expected

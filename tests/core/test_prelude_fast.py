@@ -6,16 +6,20 @@ sets, same MRCT sets in the same occurrence order, bit-identical
 histograms through the fused packed postlude.
 """
 
+import sys
+
 import pytest
 
+import repro.core.prelude_fast as prelude_fast
+import repro.core.vectorized as vectorized
+import repro.core.zerosets as zerosets_module
+import repro.trace.strip as strip_module
 from repro.core import engines
 from repro.core.mrct import build_mrct
 from repro.core.postlude import compute_level_histograms
 from repro.core.prelude_fast import (
-    FAST_MRCT_MIN_REFS,
     FENWICK_MIN_REFS,
     FENWICK_MIN_UNIQUE,
-    build_mrct_auto,
     build_mrct_fenwick,
 )
 from repro.core.vectorized import numpy_available
@@ -155,21 +159,142 @@ class TestNumpyBuilders:
         assert pf.build_mrct_fast(stripped) == reference
 
 
+#: Every prelude builder a dispatcher may pick: (module, attribute).
+#: ``strip_trace`` and ``build_mrct`` are called through two modules
+#: each, so both bindings are spied under one name.
+BUILDERS = (
+    (strip_module, "strip_trace"),
+    (engines, "strip_trace"),
+    (strip_module, "strip_trace_numpy"),
+    (engines, "build_zero_one_sets"),
+    (zerosets_module, "build_zero_one_sets_numpy"),
+    (prelude_fast, "build_mrct"),
+    (engines, "build_mrct"),
+    (prelude_fast, "build_mrct_fast"),
+    (prelude_fast, "build_mrct_fenwick"),
+)
+
+#: Trace lengths spanning every old size gate (the smallest traces too).
+SIZES = (0, 1, 16, 2048)
+
+
+@pytest.fixture
+def builder_calls(monkeypatch):
+    """Names of the prelude builders called, in call order."""
+    calls = []
+    for module, name in BUILDERS:
+        original = getattr(module, name)
+
+        def spy(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.fixture
+def without_numpy(monkeypatch):
+    """Simulate a NumPy-less interpreter for the prelude dispatchers."""
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setattr(prelude_fast, "_np", None)
+    monkeypatch.setattr(vectorized, "_np", None)
+
+
+def sized_trace(n):
+    return random_trace(n, 64, seed=n)
+
+
+def run_prelude(trace, prelude):
+    inputs = engines.EngineInputs(trace, prelude=prelude)
+    return inputs.stripped, inputs.zerosets, inputs.mrct
+
+
 class TestAutoDispatch:
-    def test_short_trace_uses_reference_builder(self):
-        stripped = strip_trace(loop_nest_trace(8, 4))
-        assert stripped.n < FAST_MRCT_MIN_REFS
-        assert build_mrct_auto(stripped) == build_mrct(stripped)
+    """One builder per stage and platform: with NumPy the NumPy kernels
+    at every size, without it the Fenwick/classic MRCT split."""
 
     @needs_numpy
-    def test_long_trace_uses_fast_builder(self):
-        n = FAST_MRCT_MIN_REFS
-        stripped = strip_trace(zipf_trace(n, 200, seed=1))
-        assert build_mrct_auto(stripped) == build_mrct(stripped)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_numpy_builders_at_every_size(self, builder_calls, n):
+        trace = sized_trace(n)
+        stripped = strip_module.strip_trace_auto(trace)
+        assert builder_calls == ["strip_trace_numpy"]
+        reference = strip_trace(trace)
+        assert stripped.unique_addresses == reference.unique_addresses
+        assert list(stripped.id_sequence) == list(reference.id_sequence)
+        del builder_calls[:]
+        assert prelude_fast.build_mrct_auto(stripped) == build_mrct(reference)
+        assert builder_calls == ["build_mrct_fast"]
+
+    @needs_numpy
+    @pytest.mark.parametrize("n", SIZES)
+    def test_engine_inputs_take_numpy_builders(self, builder_calls, n):
+        trace = sized_trace(n)
+        stripped, zerosets, mrct = run_prelude(trace, "auto")
+        assert builder_calls == [
+            "strip_trace_numpy",
+            "build_zero_one_sets_numpy",
+            "build_mrct_fast",
+        ]
+        reference = strip_trace(trace)
+        assert zerosets == build_zero_one_sets(reference)
+        assert mrct == build_mrct(reference)
+
+    def split_choice(self, builder_calls, trace):
+        """The MRCT builder ``build_mrct_auto`` takes for ``trace``."""
+        stripped = strip_module.strip_trace_auto(trace)
+        assert builder_calls == ["strip_trace_numpy", "strip_trace"]
+        del builder_calls[:]
+        assert prelude_fast.build_mrct_auto(stripped) == build_mrct(stripped)
+        return builder_calls
+
+    def test_short_trace_uses_reference_builder(self, without_numpy, builder_calls):
+        """Without NumPy, a trace below FENWICK_MIN_REFS keeps the classic
+        builder."""
+        trace = zipf_trace(FENWICK_MIN_REFS - 1, 300, seed=1)
+        assert self.split_choice(builder_calls, trace) == ["build_mrct"]
+
+    def test_long_trace_uses_fast_builder(self, without_numpy, builder_calls):
+        """Without NumPy, a long trace with many unique references takes
+        the fast pure-Python (Fenwick) builder."""
+        trace = zipf_trace(FENWICK_MIN_REFS, 300, seed=1)
+        assert self.split_choice(builder_calls, trace) == ["build_mrct_fenwick"]
+
+    def test_long_trace_few_unique_uses_reference_builder(
+        self, without_numpy, builder_calls
+    ):
+        trace = loop_nest_trace(FENWICK_MIN_UNIQUE - 1, 40)
+        assert len(trace) >= FENWICK_MIN_REFS
+        assert self.split_choice(builder_calls, trace) == ["build_mrct"]
+
+    def test_python_mode_runs_reference_builders(self, builder_calls):
+        run_prelude(zipf_trace(500, 80, seed=2), "python")
+        assert builder_calls == [
+            "strip_trace",
+            "build_zero_one_sets",
+            "build_mrct",
+        ]
+
+    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "no-numpy"])
+    def test_fast_runs_what_auto_runs(self, request, builder_calls, numpy):
+        if numpy and not numpy_available():
+            pytest.skip("needs NumPy")
+        if not numpy:
+            request.getfixturevalue("without_numpy")
+        traces = [sized_trace(n) for n in SIZES]
+        traces.append(zipf_trace(FENWICK_MIN_REFS, 300, seed=1))
+        for trace in traces:
+            auto = run_prelude(trace, "auto")
+            auto_calls = list(builder_calls)
+            del builder_calls[:]
+            fast = run_prelude(trace, "fast")
+            assert builder_calls == auto_calls
+            del builder_calls[:]
+            assert fast[1:] == auto[1:]
 
     def test_fenwick_gates_exist(self):
-        assert FENWICK_MIN_REFS > FAST_MRCT_MIN_REFS
-        assert FENWICK_MIN_UNIQUE > 1
+        assert FENWICK_MIN_REFS > FENWICK_MIN_UNIQUE > 1
 
 
 class TestFusedEngine:

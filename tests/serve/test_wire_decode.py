@@ -7,7 +7,8 @@ error text for every kind of bad element, and the dedup keys of the
 an address beyond 64-bit signed range is a clean 400 on both explore
 routes, and the daemon decodes each request exactly once.  The retired
 ``processes`` field is still checked on every revision, then ignored;
-an ``address_bits`` wider than a dinero address is a clean 400.
+an ``address_bits`` wider than a dinero address, or a ``max_level``
+deeper than one, is a clean 400.
 """
 
 from __future__ import annotations
@@ -377,3 +378,45 @@ class TestHostileAddressBits:
         # the daemon is still answering
         assert client.explore(tiny_request).budgets == (0, 1)
         assert client.session_create(64)["address_bits"] == 64
+
+
+class TestHostileMaxLevel:
+    """A ``max_level`` above 64 (one level per address bit) is a clean
+    400 on both explore routes, answered before ``1 << max_level`` is
+    evaluated; the daemon keeps answering."""
+
+    @pytest.mark.parametrize("schema", SCHEMAS)
+    def test_64_is_accepted(self, tiny_trace, schema) -> None:
+        document = dict(wire_document(tiny_trace, schema), max_level=64)
+        assert request_from_wire(document).max_depth == 1 << 64
+
+    @pytest.mark.parametrize("level", [65, 2**63])
+    @pytest.mark.parametrize("schema", SCHEMAS)
+    def test_deeper_is_rejected(self, tiny_trace, schema, level) -> None:
+        document = dict(wire_document(tiny_trace, schema), max_level=level)
+        assert decode_error(document) == (
+            f"request: max_level must be <= 64, got {level}"
+        )
+
+    def test_both_routes_answer_400(self, live_server, tiny_request) -> None:
+        server = live_server(pool=WorkerPool(workers=1, kind="inline"))
+        client = server.client()
+        deep = dict(request_to_wire(tiny_request), max_level=65)
+        huge = dict(request_to_wire(tiny_request), max_level=2**63)
+        calls = [
+            lambda: client.explore_wire(deep),
+            lambda: client.explore_wire(huge),
+            lambda: client.explore_batch_wire([request_to_wire(tiny_request), deep]),
+            lambda: client.explore_batch_wire([huge]),
+        ]
+        for count, call in enumerate(calls, start=1):
+            with pytest.raises(ServeError) as excinfo:
+                call()
+            assert excinfo.value.status == 400
+            assert "request: max_level must be <= 64, got " in str(excinfo.value)
+            assert client.metrics()["serve_errors_total"] == count
+        # the daemon is still answering, at the deepest accepted bound too
+        assert client.explore(tiny_request).budgets == (0, 1)
+        answer = client.explore_wire(dict(request_to_wire(tiny_request), max_level=64))
+        assert answer["report"]["budgets"] == [0, 1]
+        assert client.metrics()["serve_errors_total"] == len(calls)
