@@ -65,6 +65,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.request import ExplorationRequest
 from repro.obs import environment_info
+from repro.scenario import ScenarioSpec
 from repro.serve import ExploreServer, ServeClient, ServeError, WorkerPool
 from repro.serve.protocol import request_to_wire
 from repro.trace.synthetic import markov_trace, zipf_trace
@@ -100,7 +101,7 @@ def request_panel(unique: int) -> List[Dict]:
             traces=(trace,),
             mode="single",
             budgets=(0, 1 + index % 3),
-            engine="auto",
+            scenario=ScenarioSpec(engine="auto"),
         )
         documents.append(request_to_wire(request))
     return documents

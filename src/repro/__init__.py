@@ -44,7 +44,6 @@ from repro.core import (
     ExplorationReport,
     ExplorationRequest,
     ExplorationResult,
-    explore,
     explore_request,
 )
 from repro.cache import CacheConfig, CacheSimulator, SimulationResult, simulate_trace
@@ -65,7 +64,6 @@ __all__ = [
     "ExplorationResult",
     "StoreStats",
     "default_cache_dir",
-    "explore",
     "explore_request",
     "trace_digest",
     "CacheConfig",

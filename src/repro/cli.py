@@ -243,51 +243,80 @@ def _print_scenario_extras(extras: dict) -> None:
             )
 
 
+def _print_report(report, title: Optional[str] = None) -> None:
+    """Render a report's results, set results, sweeps and scenario extras.
+
+    Single-mode results are titled ``title``, or by their budget when
+    ``title`` is ``None``.
+    """
+    for result in report.results:
+        rows = [
+            [inst.depth, inst.associativity, inst.size_words, misses]
+            for inst, misses in zip(result.instances, result.misses)
+        ]
+        print(
+            format_table(
+                ["Depth D", "Assoc A", "Size (words)", "Misses"],
+                rows,
+                title=title or f"optimal instances at K={result.budget}",
+            )
+        )
+    for multi in report.multi_results:
+        rows = [
+            [inst.depth, inst.associativity, inst.size_words]
+            for inst in multi.instances
+        ]
+        print(
+            format_table(
+                ["Depth D", "Assoc A", "Size (words)"],
+                rows,
+                title=f"set instances at K={multi.budget}",
+            )
+        )
+    for sweep in report.line_sweeps:
+        rows = [
+            [
+                point.line_words,
+                point.instance.depth,
+                point.instance.associativity,
+                point.non_cold_misses,
+            ]
+            for point in sweep.instances
+        ]
+        print(
+            format_table(
+                ["Line", "Depth", "Assoc", "Misses"],
+                rows,
+                title=f"line-size sweep at K={sweep.budget}",
+            )
+        )
+    if report.scenario is not None:
+        _print_scenario_extras(report.scenario)
+
+
 def _cmd_explore(args: argparse.Namespace) -> int:
-    from repro.core import engines as _engines
+    from repro.core.request import ExplorationRequest, explore_request, request_manifest
+    from repro.obs import NULL_RECORDER, Recorder
 
     try:
         spec = _scenario_from_args(args)
     except ValueError as exc:
         print(f"explore failed: {exc}", file=sys.stderr)
         return 1
-    recorder = None
-    if args.profile:
-        from repro.obs import Recorder
-
-        recorder = Recorder(memory=True)
-    if recorder is not None:
-        with recorder.phase("load-trace"):
-            trace = read_trace(args.trace)
-    else:
+    recorder = Recorder(memory=True) if args.profile else NULL_RECORDER
+    with recorder.phase("load-trace"):
         trace = read_trace(args.trace)
-    store = _resolve_store(args)
-    explorer = _engines.policy_explorer(
-        spec.policy,
+    request = ExplorationRequest.single(
         trace,
-        max_depth=spec.max_depth,
-        engine=spec.engine,
-        prelude=spec.prelude,
+        budget=args.budget,
+        percent=args.percent,
         recorder=recorder,
-        store=store,
+        store=_resolve_store(args),
+        scenario=spec,
     )
-    budget = _budget_for(args, explorer)
-    result = explorer.explore(budget)
-    extras = None
-    if not spec.is_baseline():
-        from repro.scenario import scenario_extras
-
-        extras = scenario_extras(
-            trace,
-            spec,
-            [budget],
-            [result],
-            explorer,
-            recorder=recorder,
-            store=store,
-        )
-    if recorder is not None:
-        manifest = explorer.run_manifest()
+    report = explore_request(request)
+    if args.profile:
+        manifest = request_manifest(request, report)
         with open(args.profile, "w", encoding="utf-8") as fh:
             fh.write(manifest.to_json())
             fh.write("\n")
@@ -295,30 +324,18 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     if args.json:
         import json
 
-        document = result.to_json_dict()
-        if extras is not None:
-            document["scenario"] = extras
+        document = report.results[0].to_json_dict()
+        if report.scenario is not None:
+            document["scenario"] = report.scenario
         print(json.dumps(document, indent=2))
         return 0
     policy_note = "" if spec.policy == "lru" else f", policy: {spec.policy}"
     print(
         f"trace {trace.name}: N={len(trace)} N'={trace.unique_count()} "
-        f"(engine: {explorer.resolved_engine}{policy_note})"
+        f"(engine: {report.engine}{policy_note})"
     )
-    print(f"miss budget K={budget} (beyond cold misses)")
-    rows = [
-        [inst.depth, inst.associativity, inst.size_words, misses]
-        for inst, misses in zip(result.instances, result.misses)
-    ]
-    print(
-        format_table(
-            ["Depth D", "Assoc A", "Size (words)", "Misses"],
-            rows,
-            title="optimal cache instances",
-        )
-    )
-    if extras is not None:
-        _print_scenario_extras(extras)
+    print(f"miss budget K={report.budgets[0]} (beyond cold misses)")
+    _print_report(report, title="optimal cache instances")
     return 0
 
 
@@ -974,49 +991,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         f"mode {report.mode} via {args.host}:{args.port} "
         f"(engine: {report.engine})"
     )
-    for result in report.results:
-        rows = [
-            [inst.depth, inst.associativity, inst.size_words, misses]
-            for inst, misses in zip(result.instances, result.misses)
-        ]
-        print(
-            format_table(
-                ["Depth D", "Assoc A", "Size (words)", "Misses"],
-                rows,
-                title=f"optimal instances at K={result.budget}",
-            )
-        )
-    for multi in report.multi_results:
-        rows = [
-            [inst.depth, inst.associativity, inst.size_words]
-            for inst in multi.instances
-        ]
-        print(
-            format_table(
-                ["Depth D", "Assoc A", "Size (words)"],
-                rows,
-                title=f"set instances at K={multi.budget}",
-            )
-        )
-    for sweep in report.line_sweeps:
-        rows = [
-            [
-                point.line_words,
-                point.instance.depth,
-                point.instance.associativity,
-                point.non_cold_misses,
-            ]
-            for point in sweep.instances
-        ]
-        print(
-            format_table(
-                ["Line", "Depth", "Assoc", "Misses"],
-                rows,
-                title=f"line-size sweep at K={sweep.budget}",
-            )
-        )
-    if report.scenario:
-        _print_scenario_extras(report.scenario)
+    _print_report(report)
     return 0
 
 
@@ -1028,8 +1003,8 @@ def _cmd_stream_scenario(args: argparse.Namespace, spec) -> int:
     full reference sequence.  Fall back to a materialized exploration
     with a warning rather than silently answering the wrong question.
     """
-    from repro.core import engines as _engines
-    from repro.scenario import scenario_extras
+    from repro.core.postlude import validate_max_level
+    from repro.core.request import ExplorationRequest, explore_request
 
     print(
         f"stream: scenario (policy={spec.policy}, l2_depth={spec.l2_depth}, "
@@ -1037,17 +1012,19 @@ def _cmd_stream_scenario(args: argparse.Namespace, spec) -> int:
         f"materializing {args.trace}",
         file=sys.stderr,
     )
-    store = _resolve_store(args)
-    budgets = args.budget if args.budget else [0]
     try:
         trace = read_trace(args.trace, address_bits=args.address_bits)
-        explorer = _engines.policy_explorer(spec.policy, trace, store=store)
-        results = [
-            explorer.explore(b, include_depth_one=args.include_depth_one)
-            for b in budgets
-        ]
-        extras = scenario_extras(
-            trace, spec, budgets, results, explorer, store=store
+        if validate_max_level(args.max_level) is not None:
+            # The streaming session's bound: no deeper than the address.
+            level = min(args.max_level, trace.address_bits)
+            spec = spec.replace(max_depth=1 << level)
+        report = explore_request(
+            ExplorationRequest.single(
+                trace,
+                budgets=args.budget or [0],
+                store=_resolve_store(args),
+                scenario=spec,
+            )
         )
     except (OSError, ValueError) as exc:
         print(f"stream failed: {exc}", file=sys.stderr)
@@ -1063,12 +1040,12 @@ def _cmd_stream_scenario(args: argparse.Namespace, spec) -> int:
             "unique_refs": trace.unique_count(),
             "materialized": True,
             "results": {
-                str(budget): result.to_json_dict()
-                for budget, result in zip(budgets, results)
+                str(result.budget): result.to_json_dict()
+                for result in report.results
             },
         }
-        if extras is not None:
-            document["scenario"] = extras
+        if report.scenario is not None:
+            document["scenario"] = report.scenario
         print(json.dumps(document, indent=2))
         return 0
 
@@ -1077,20 +1054,7 @@ def _cmd_stream_scenario(args: argparse.Namespace, spec) -> int:
         f"({trace.unique_count()} unique, {trace.address_bits} bits, "
         f"materialized, policy {spec.policy})"
     )
-    for budget, result in zip(budgets, results):
-        rows = [
-            [inst.depth, inst.associativity, inst.size_words, misses]
-            for inst, misses in zip(result.instances, result.misses)
-        ]
-        print(
-            format_table(
-                ["Depth D", "Assoc A", "Size (words)", "Misses"],
-                rows,
-                title=f"optimal instances at K={budget}",
-            )
-        )
-    if extras is not None:
-        _print_scenario_extras(extras)
+    _print_report(report)
     return 0
 
 

@@ -53,23 +53,13 @@ from repro.core.engines import (
     register_engine,
     resolve_engine,
 )
-from repro.core.explorer import (
-    AnalyticalCacheExplorer,
-    explore,
-    explore_many,
-    explore_percent,
-)
+from repro.core.explorer import AnalyticalCacheExplorer
 from repro.core.request import (
     ExplorationReport,
     ExplorationRequest,
     explore_request,
 )
-from repro.core.linesize import (
-    LineInstance,
-    LineSizeExplorer,
-    LineSweepResult,
-    explore_line_sizes,
-)
+from repro.core.linesize import LineInstance, LineSizeExplorer, LineSweepResult
 from repro.core.multi import MultiTraceExplorer, MultiTraceResult
 from repro.core.streaming import compute_level_histograms_streaming
 from repro.core.vectorized import (
@@ -109,16 +99,12 @@ __all__ = [
     "optimal_pairs",
     "optimal_pairs_algorithm3",
     "AnalyticalCacheExplorer",
-    "explore",
-    "explore_many",
-    "explore_percent",
     "ExplorationReport",
     "ExplorationRequest",
     "explore_request",
     "LineInstance",
     "LineSizeExplorer",
     "LineSweepResult",
-    "explore_line_sizes",
     "EngineInputs",
     "EngineSpec",
     "choose_auto",

@@ -241,100 +241,3 @@ class AnalyticalCacheExplorer:
             },
         )
 
-
-def explore(
-    trace: Trace,
-    budget: int,
-    max_depth: Optional[int] = None,
-    engine: str = _engines.AUTO_ENGINE,
-    recorder=None,
-    store=None,
-    include_depth_one: bool = False,
-) -> ExplorationResult:
-    """One-shot convenience wrapper around :class:`AnalyticalCacheExplorer`.
-
-    ``engine``/``recorder``/``store`` are forwarded to the
-    explorer, so the convenience path matches the class path (earlier
-    versions silently ran with the default engine and no telemetry).
-
-    .. deprecated:: 1.2
-        Prefer :func:`repro.core.request.explore_request` with an
-        :class:`~repro.core.request.ExplorationRequest` — this shim
-        forwards there and only returns the first result.
-    """
-    from repro.core.request import ExplorationRequest, explore_request
-
-    report = explore_request(
-        ExplorationRequest.single(
-            trace,
-            budget=budget,
-            max_depth=max_depth,
-            engine=engine,
-            recorder=recorder,
-            store=store,
-            include_depth_one=include_depth_one,
-        )
-    )
-    return report.results[0]
-
-
-def explore_percent(
-    trace: Trace,
-    percent: float,
-    max_depth: Optional[int] = None,
-    engine: str = _engines.AUTO_ENGINE,
-    recorder=None,
-    store=None,
-    include_depth_one: bool = False,
-) -> ExplorationResult:
-    """One-shot percent-of-max-misses exploration (the paper's K%).
-
-    .. deprecated:: 1.2
-        Prefer :func:`repro.core.request.explore_request` with
-        ``ExplorationRequest.single(trace, percent=...)``.
-    """
-    from repro.core.request import ExplorationRequest, explore_request
-
-    report = explore_request(
-        ExplorationRequest.single(
-            trace,
-            percent=percent,
-            max_depth=max_depth,
-            engine=engine,
-            recorder=recorder,
-            store=store,
-            include_depth_one=include_depth_one,
-        )
-    )
-    return report.results[0]
-
-
-def explore_many(
-    trace: Trace,
-    budgets: Sequence[int],
-    max_depth: Optional[int] = None,
-    engine: str = _engines.AUTO_ENGINE,
-    recorder=None,
-    store=None,
-    include_depth_one: bool = False,
-) -> List[ExplorationResult]:
-    """Explore several absolute budgets over one shared pipeline.
-
-    .. deprecated:: 1.2
-        Prefer :func:`repro.core.request.explore_request` with
-        ``ExplorationRequest.single(trace, budgets=...)``.
-    """
-    from repro.core.request import ExplorationRequest, explore_request
-
-    report = explore_request(
-        ExplorationRequest.single(
-            trace,
-            budgets=tuple(budgets),
-            max_depth=max_depth,
-            engine=engine,
-            recorder=recorder,
-            store=store,
-            include_depth_one=include_depth_one,
-        )
-    )
-    return list(report.results)

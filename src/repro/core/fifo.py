@@ -133,9 +133,6 @@ class FIFOHybridExplorer:
         """
         return self._analytical.report_level
 
-    def run_manifest(self):
-        return self._analytical.run_manifest()
-
     # -- the hybrid miss model --------------------------------------------------
 
     def _unique_addresses(self) -> List[int]:

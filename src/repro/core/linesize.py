@@ -24,7 +24,7 @@ too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
 
 from repro.cache.config import CacheConfig, is_power_of_two
 from repro.core.explorer import AnalyticalCacheExplorer
@@ -133,6 +133,8 @@ class LineSizeExplorer:
         max_depth: forwarded to each per-line-size explorer.
         engine: histogram engine name, forwarded to each per-line-size
             explorer.
+        prelude: prelude builder mode, forwarded to each per-line-size
+            explorer.
         recorder: shared :class:`repro.obs.Recorder` across the sweep.
         store: shared :class:`repro.store.ArtifactStore` — each line
             size's derived trace gets its own content digest, so the
@@ -153,6 +155,7 @@ class LineSizeExplorer:
         line_sizes: Iterable[int] = DEFAULT_LINE_SIZES,
         max_depth: Optional[int] = None,
         engine: str = "auto",
+        prelude: str = "auto",
         recorder=None,
         store=None,
     ) -> None:
@@ -166,6 +169,7 @@ class LineSizeExplorer:
         self.line_sizes = sizes
         self._max_depth = max_depth
         self._engine = engine
+        self._prelude = prelude
         self._recorder = recorder
         self._store = store
         self._explorers: Dict[int, AnalyticalCacheExplorer] = {}
@@ -182,6 +186,7 @@ class LineSizeExplorer:
                 line_trace,
                 max_depth=self._max_depth,
                 engine=self._engine,
+                prelude=self._prelude,
                 recorder=self._recorder,
                 store=self._store,
             )
@@ -215,33 +220,3 @@ class LineSizeExplorer:
             instances=flattened,
             trace_name=self.trace.name,
         )
-
-
-def explore_line_sizes(
-    trace: Trace,
-    budget: int,
-    line_sizes: Sequence[int] = LineSizeExplorer.DEFAULT_LINE_SIZES,
-    engine: str = "auto",
-    recorder=None,
-    store=None,
-) -> LineSweepResult:
-    """One-shot helper around :class:`LineSizeExplorer`.
-
-    .. deprecated:: 1.2
-        Prefer :func:`repro.core.request.explore_request` with
-        ``ExplorationRequest.line_sweep(trace, budget=..., ...)`` —
-        this shim builds exactly that request.
-    """
-    from repro.core.request import ExplorationRequest, explore_request
-
-    report = explore_request(
-        ExplorationRequest.line_sweep(
-            trace,
-            budget=budget,
-            line_sizes=line_sizes,
-            engine=engine,
-            recorder=recorder,
-            store=store,
-        )
-    )
-    return report.line_sweeps[0]

@@ -63,6 +63,8 @@ class MultiTraceExplorer:
         engine: histogram engine name (see :mod:`repro.core.engines`),
             forwarded to every per-trace explorer; ``"auto"`` picks the
             best available engine per trace.
+        prelude: prelude builder mode, forwarded to every per-trace
+            explorer (see :class:`repro.core.engines.EngineInputs`).
         recorder: a shared :class:`repro.obs.Recorder` forwarded to every
             per-trace explorer, so one profile covers the whole set.
         store: a shared :class:`repro.store.ArtifactStore` forwarded to
@@ -84,6 +86,7 @@ class MultiTraceExplorer:
         weights: Optional[Sequence[int]] = None,
         max_depth: Optional[int] = None,
         engine: str = "auto",
+        prelude: str = "auto",
         recorder=None,
         store=None,
     ) -> None:
@@ -107,6 +110,7 @@ class MultiTraceExplorer:
                 trace,
                 max_depth=max_depth,
                 engine=engine,
+                prelude=prelude,
                 recorder=recorder,
                 store=store,
             )
@@ -155,20 +159,6 @@ class MultiTraceExplorer:
             instances=instances,
             misses_by_trace=self._misses_per_trace(instances),
         )
-
-    def run(self, budget: int, mode: str = "sum") -> MultiTraceResult:
-        """Dispatch to :meth:`explore_sum` or :meth:`explore_each` by name.
-
-        .. deprecated:: 1.2
-            Prefer :func:`repro.core.request.explore_request` with
-            ``ExplorationRequest.multi(traces, budget=..., mode=...)``;
-            this shim remains for callers holding the mode as data.
-        """
-        if mode == "sum":
-            return self.explore_sum(budget)
-        if mode == "each":
-            return self.explore_each(budget)
-        raise ValueError(f"mode must be 'sum' or 'each', got {mode!r}")
 
     def explore_each(self, budget: int) -> MultiTraceResult:
         """Bound every application's non-cold misses individually."""

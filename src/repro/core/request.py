@@ -1,18 +1,15 @@
 """One entry point for every exploration shape the repo supports.
 
-The exploration frontends accumulated divergent ad-hoc signatures:
-``explore(trace, budget)``, ``explore_percent(trace, percent)``,
-``explore_many(trace, budgets)``, ``explore_line_sizes(trace, budget,
-line_sizes)`` and ``MultiTraceExplorer(...).run(budget, mode)``.
-:class:`ExplorationRequest` is the single contract that covers all of
-them: what to explore (one trace, an application set, a line-size
-sweep), at which budgets (absolute K's, the paper's percent-of-max-
-misses, or both), and with which machinery (engine, recorder,
-artifact store).  :func:`explore_request` executes it and
-returns an :class:`ExplorationReport`.
-
-The legacy helpers remain as thin shims that build a request, so no
-caller breaks; new code should construct requests::
+:class:`ExplorationRequest` is the single contract for an exploration:
+what to explore (one trace, an application set, a line-size sweep), at
+which budgets (absolute K's, the paper's percent-of-max-misses, or
+both), and with which machinery.  The machinery (engine, prelude, depth
+bounds) and the scenario dimensions (replacement policy, second level,
+cost model) live in one :class:`~repro.scenario.ScenarioSpec`; the
+request's ``engine``/``prelude``/... attributes read through to it.
+:func:`explore_request` executes a request and returns an
+:class:`ExplorationReport`.  The CLI, the serve daemon and the bench
+harnesses all answer through it::
 
     from repro import ExplorationRequest, explore_request
 
@@ -32,22 +29,38 @@ from repro.core import engines as _engines
 from repro.core.instance import ExplorationResult
 from repro.core.linesize import LineSizeExplorer, LineSweepResult
 from repro.core.multi import MultiTraceExplorer, MultiTraceResult
+from repro.obs.manifest import RunManifest
 from repro.scenario.spec import ScenarioSpec
 from repro.trace.trace import Trace
 
 #: The exploration shapes a request can take.
 MODES = ("single", "sum", "each", "linesize")
 
-#: The machinery kwargs that predate :class:`ScenarioSpec`, with their
-#: defaults.  They remain accepted as deprecation shims; when a request
-#: carries an explicit scenario, any non-default loose value must agree
-#: with it (conflicts fail loudly instead of silently winning).
-_SCENARIO_SHIM_FIELDS = {
-    "engine": _engines.AUTO_ENGINE,
-    "prelude": "auto",
-    "max_depth": None,
-    "include_depth_one": False,
-}
+_DEFAULT_SCENARIO = ScenarioSpec()
+
+
+def _scenario_from(
+    scenario: Optional[ScenarioSpec], **keywords: object
+) -> ScenarioSpec:
+    """The one :class:`ScenarioSpec` a constructor's keywords describe.
+
+    Machinery may be spelled as keywords or as a ``scenario``, not both:
+    a scenario next to any non-default keyword is rejected.
+    """
+    if scenario is None:
+        return ScenarioSpec(**keywords)
+    spelled = [
+        name
+        for name, value in keywords.items()
+        if value != getattr(_DEFAULT_SCENARIO, name)
+    ]
+    if spelled:
+        names = ", ".join(repr(name) for name in spelled)
+        raise ValueError(
+            f"conflicting {names}: set them on the scenario or as "
+            "keywords, not both"
+        )
+    return scenario
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,29 +80,17 @@ class ExplorationRequest:
             non-cold misses (the paper's parameterization); resolved
             against the trace statistics and explored after ``budgets``.
             ``single`` mode only.
-        max_depth: deepest cache depth to report (power of two).
-        include_depth_one: also report the fully associative depth-1
-            column (``single`` mode only).
         line_sizes: line sizes for ``linesize`` mode.
         weights: per-trace weights for ``sum`` mode.
-        engine: histogram engine name (see :mod:`repro.core.engines`).
-        prelude: prelude builder mode (``auto``/``fast``/``python``;
-            see :class:`repro.core.engines.EngineInputs`).  ``single``
-            mode forwards it to the explorer; other modes currently run
-            with the default.
         recorder: optional :class:`repro.obs.Recorder` shared by every
             explorer the request spawns.
         store: optional :class:`repro.store.ArtifactStore` shared by
             every explorer the request spawns (warm-start).
         scenario: the :class:`repro.scenario.ScenarioSpec` describing
-            *how* to explore — machinery (engine/prelude/
-            depth bounds) plus the scenario dimensions (replacement
-            policy, second level, cost model).  When omitted, one is
-            built from the loose machinery kwargs above (the
-            pre-scenario signature, kept as a deprecation shim); when
-            given, the loose kwargs must be left at their defaults or
-            agree with it, and are overwritten to mirror it so older
-            call sites reading ``request.engine`` etc. keep working.
+            *how* to explore — machinery (engine/prelude/depth bounds)
+            plus the scenario dimensions (replacement policy, second
+            level, cost model).  Every mode honours the machinery; the
+            scenario dimensions are ``single`` mode only.
 
     Build via the mode-specific constructors (:meth:`single`,
     :meth:`multi`, :meth:`line_sweep`) rather than positionally.
@@ -99,18 +100,13 @@ class ExplorationRequest:
     mode: str = "single"
     budgets: Tuple[int, ...] = ()
     percents: Tuple[float, ...] = ()
-    max_depth: Optional[int] = None
-    include_depth_one: bool = False
     line_sizes: Tuple[int, ...] = LineSizeExplorer.DEFAULT_LINE_SIZES
     weights: Optional[Tuple[int, ...]] = None
-    engine: str = _engines.AUTO_ENGINE
-    prelude: str = "auto"
     recorder: Optional[object] = None
     store: Optional[object] = None
-    scenario: Optional[ScenarioSpec] = None
+    scenario: ScenarioSpec = _DEFAULT_SCENARIO
 
     def __post_init__(self) -> None:
-        self._reconcile_scenario()
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.traces:
@@ -143,36 +139,27 @@ class ExplorationRequest:
                 f"in mode 'single', not {self.mode!r}"
             )
 
-    def _reconcile_scenario(self) -> None:
-        """Unify the scenario with the legacy loose kwargs (shim path).
-
-        Field validation (engine names, prelude modes, policy domains)
-        lives in :class:`ScenarioSpec` itself, so both spellings fail
-        with identical errors.
-        """
-        if self.scenario is None:
-            object.__setattr__(
-                self,
-                "scenario",
-                ScenarioSpec(
-                    **{
-                        name: getattr(self, name)
-                        for name in _SCENARIO_SHIM_FIELDS
-                    }
-                ),
-            )
-            return
-        for name, default in _SCENARIO_SHIM_FIELDS.items():
-            loose = getattr(self, name)
-            from_spec = getattr(self.scenario, name)
-            if loose != default and loose != from_spec:
-                raise ValueError(
-                    f"conflicting {name!r}: request kwarg {loose!r} vs "
-                    f"scenario {from_spec!r} — set it on the scenario only"
-                )
-            object.__setattr__(self, name, from_spec)
-
     # -- scenario accessors -----------------------------------------------------
+
+    @property
+    def engine(self) -> str:
+        """The scenario's histogram engine name."""
+        return self.scenario.engine
+
+    @property
+    def prelude(self) -> str:
+        """The scenario's prelude builder mode."""
+        return self.scenario.prelude
+
+    @property
+    def max_depth(self) -> Optional[int]:
+        """The scenario's deepest reported depth (``None`` = automatic)."""
+        return self.scenario.max_depth
+
+    @property
+    def include_depth_one(self) -> bool:
+        """Whether the scenario reports the depth-1 column."""
+        return self.scenario.include_depth_one
 
     @property
     def policy(self) -> str:
@@ -213,15 +200,22 @@ class ExplorationRequest:
         """One-trace exploration at absolute and/or percent budgets.
 
         Pass a :class:`~repro.scenario.ScenarioSpec` via ``scenario``,
-        or spell its fields loose (``engine``/``prelude``/``policy``/
-        ``l2_depth``/``cost_model``/...) — not both, unless they agree.
+        or spell its fields as keywords (``engine``/``prelude``/
+        ``policy``/``l2_depth``/``cost_model``/...) — not both.
         """
         all_budgets = tuple(budgets) + ((budget,) if budget is not None else ())
         all_percents = tuple(percents) + (
             (percent,) if percent is not None else ()
         )
-        if scenario is None:
-            scenario = ScenarioSpec(
+        return cls(
+            traces=(trace,),
+            mode="single",
+            budgets=all_budgets,
+            percents=all_percents,
+            recorder=recorder,
+            store=store,
+            scenario=_scenario_from(
+                scenario,
                 engine=engine,
                 prelude=prelude,
                 max_depth=max_depth,
@@ -229,28 +223,7 @@ class ExplorationRequest:
                 policy=policy,
                 l2_depth=l2_depth,
                 cost_model=cost_model,
-            )
-        elif (policy, l2_depth, cost_model) != ("lru", None, None) and (
-            policy,
-            l2_depth,
-            cost_model,
-        ) != (scenario.policy, scenario.l2_depth, scenario.cost_model):
-            raise ValueError(
-                "conflicting policy/l2_depth/cost_model: set them on the "
-                "scenario only"
-            )
-        return cls(
-            traces=(trace,),
-            mode="single",
-            budgets=all_budgets,
-            percents=all_percents,
-            max_depth=max_depth,
-            include_depth_one=include_depth_one,
-            engine=engine,
-            prelude=prelude,
-            recorder=recorder,
-            store=store,
-            scenario=scenario,
+            ),
         )
 
     @classmethod
@@ -271,10 +244,9 @@ class ExplorationRequest:
             mode=mode,
             budgets=(budget,),
             weights=tuple(weights) if weights is not None else None,
-            max_depth=max_depth,
-            engine=engine,
             recorder=recorder,
             store=store,
+            scenario=ScenarioSpec(engine=engine, max_depth=max_depth),
         )
 
     @classmethod
@@ -294,10 +266,9 @@ class ExplorationRequest:
             mode="linesize",
             budgets=(budget,),
             line_sizes=tuple(line_sizes),
-            max_depth=max_depth,
-            engine=engine,
             recorder=recorder,
             store=store,
+            scenario=ScenarioSpec(engine=engine, max_depth=max_depth),
         )
 
 
@@ -485,9 +456,8 @@ class ExplorationReport:
 def explore_request(request: ExplorationRequest) -> ExplorationReport:
     """Execute an :class:`ExplorationRequest` — the single entry point.
 
-    Dispatches by mode to the same machinery the legacy helpers use, so
-    a request and its shim equivalent produce identical results
-    (parity-tested).
+    Dispatches by mode to the explorer classes; a request answers
+    exactly what the equivalent explorer calls answer (parity-tested).
     """
     if request.mode == "single":
         report = _run_single(request)
@@ -498,6 +468,25 @@ def explore_request(request: ExplorationRequest) -> ExplorationReport:
     if request.store is not None:
         report.store_stats = request.store.stats.as_dict()
     return report
+
+
+def request_manifest(
+    request: ExplorationRequest, report: ExplorationReport
+) -> RunManifest:
+    """The run manifest of an executed request, from its recorder."""
+    trace = request.traces[0]
+    return RunManifest.from_recorder(
+        request.recorder,
+        engine=report.engine,
+        requested_engine=request.scenario.engine,
+        options={"mode": request.mode, "prelude": request.scenario.prelude},
+        trace={
+            "name": trace.name,
+            "n": len(trace),
+            "n_unique": trace.unique_count(),
+            "address_bits": trace.address_bits,
+        },
+    )
 
 
 def _run_single(request: ExplorationRequest) -> ExplorationReport:
@@ -541,15 +530,18 @@ def _run_single(request: ExplorationRequest) -> ExplorationReport:
 
 
 def _run_multi(request: ExplorationRequest) -> ExplorationReport:
+    spec = request.scenario
     multi = MultiTraceExplorer(
         list(request.traces),
         weights=list(request.weights) if request.weights is not None else None,
-        max_depth=request.max_depth,
-        engine=request.engine,
+        max_depth=spec.max_depth,
+        engine=spec.engine,
+        prelude=spec.prelude,
         recorder=request.recorder,
         store=request.store,
     )
-    results = tuple(multi.run(k, mode=request.mode) for k in request.budgets)
+    explore = multi.explore_sum if request.mode == "sum" else multi.explore_each
+    results = tuple(explore(k) for k in request.budgets)
     return ExplorationReport(
         mode=request.mode,
         engine=multi.explorers[0].resolved_engine,
@@ -559,11 +551,13 @@ def _run_multi(request: ExplorationRequest) -> ExplorationReport:
 
 
 def _run_linesize(request: ExplorationRequest) -> ExplorationReport:
+    spec = request.scenario
     sweeper = LineSizeExplorer(
         request.traces[0],
         line_sizes=request.line_sizes,
-        max_depth=request.max_depth,
-        engine=request.engine,
+        max_depth=spec.max_depth,
+        engine=spec.engine,
+        prelude=spec.prelude,
         recorder=request.recorder,
         store=request.store,
     )

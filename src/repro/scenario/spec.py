@@ -1,12 +1,12 @@
 """The scenario contract: one frozen value for *how* to explore.
 
-:class:`ScenarioSpec` collapses the machinery knobs that used to travel
-as loose :class:`repro.core.request.ExplorationRequest` kwargs
+:class:`ScenarioSpec` holds the machinery knobs
 (``engine``/``prelude``/``max_depth``/``include_depth_one``) together
 with the policy-aware dimensions the scenario tier adds (replacement
 ``policy``, a second cache level via ``l2_depth``, a ``cost_model`` for
-ranking) into one validated, hashable dataclass.  The request carries a spec; the loose kwargs
-remain as deprecation shims that build one.
+ranking) in one validated, hashable dataclass.  Every
+:class:`repro.core.request.ExplorationRequest` carries exactly one; the
+request's machinery attributes read through to it.
 """
 
 from __future__ import annotations

@@ -41,8 +41,8 @@ from concurrent.futures import (
 from dataclasses import replace
 from typing import Callable, Dict, Optional
 
-from repro.core.request import ExplorationRequest, explore_request
-from repro.obs import Recorder, RunManifest
+from repro.core.request import ExplorationRequest, explore_request, request_manifest
+from repro.obs import Recorder
 from repro.serve.protocol import request_from_wire, response_to_wire
 
 #: Supported pool backends.
@@ -69,19 +69,7 @@ def execute_request(
     request = replace(request, recorder=recorder, store=store)
     with recorder.phase("serve:execute"):
         report = explore_request(request)
-    trace = request.traces[0]
-    manifest = RunManifest.from_recorder(
-        recorder,
-        engine=report.engine,
-        requested_engine=request.engine,
-        options={"mode": request.mode, "prelude": request.prelude},
-        trace={
-            "name": trace.name,
-            "n": len(trace),
-            "n_unique": trace.unique_count(),
-            "address_bits": trace.address_bits,
-        },
-    )
+    manifest = request_manifest(request, report)
     return response_to_wire(report, manifest=manifest.to_json_dict())
 
 

@@ -249,15 +249,23 @@ def request_to_wire(request: ExplorationRequest) -> Dict:
         "schema": REQUEST_SCHEMA,
         "mode": request.mode,
         "traces": [trace_to_wire(trace) for trace in request.traces],
+        **_parameters(request),
+        "scenario": request.scenario.to_json_dict(),
+    }
+
+
+def _parameters(request: ExplorationRequest) -> Dict:
+    """A request's budgets, shape and machinery, in wire field order."""
+    spec = request.scenario
+    return {
         "budgets": list(request.budgets),
         "percents": list(request.percents),
-        "max_depth": request.max_depth,
-        "include_depth_one": request.include_depth_one,
+        "max_depth": spec.max_depth,
+        "include_depth_one": spec.include_depth_one,
         "line_sizes": list(request.line_sizes),
         "weights": list(request.weights) if request.weights is not None else None,
-        "engine": request.engine,
-        "prelude": request.prelude,
-        "scenario": request.scenario.to_json_dict(),
+        "engine": spec.engine,
+        "prelude": spec.prelude,
     }
 
 
@@ -402,17 +410,8 @@ def request_key(document: object) -> str:
     canonical = {
         "mode": request.mode,
         "traces": [trace_digest(trace) for trace in request.traces],
-        "budgets": list(request.budgets),
-        "percents": list(request.percents),
-        "max_depth": request.max_depth,
-        "include_depth_one": request.include_depth_one,
-        "line_sizes": list(request.line_sizes),
-        "weights": list(request.weights) if request.weights is not None else None,
-        "engine": request.engine,
-        "prelude": request.prelude,
-        "policy": request.scenario.policy,
-        "l2_depth": request.scenario.l2_depth,
-        "cost_model": request.scenario.cost_model,
+        **_parameters(request),
+        **request.scenario.to_json_dict(),
     }
     blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.explorer import AnalyticalCacheExplorer, explore
+from repro.core.explorer import AnalyticalCacheExplorer
+from repro.core.request import ExplorationRequest, explore_request
 from repro.trace.synthetic import loop_nest_trace, random_trace, zipf_trace
 from repro.trace.trace import Trace
 
@@ -109,10 +110,18 @@ class TestExplorationResult:
 
 
 class TestModuleLevelHelper:
+    """The one-shot module-level path: ``explore_request``."""
+
     def test_explore_function(self):
-        result = explore(loop_nest_trace(8, 5), budget=0)
-        assert result.as_dict()[8] == 1
+        report = explore_request(
+            ExplorationRequest.single(loop_nest_trace(8, 5), budget=0)
+        )
+        assert report.results[0].as_dict()[8] == 1
 
     def test_explore_function_with_max_depth(self):
-        result = explore(loop_nest_trace(8, 5), budget=0, max_depth=16)
-        assert max(i.depth for i in result) == 16
+        report = explore_request(
+            ExplorationRequest.single(
+                loop_nest_trace(8, 5), budget=0, max_depth=16
+            )
+        )
+        assert max(i.depth for i in report.results[0]) == 16

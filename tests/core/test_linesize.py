@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cache.simulator import simulate_trace
-from repro.core.linesize import LineSizeExplorer, explore_line_sizes
+from repro.core.linesize import LineSizeExplorer
 from repro.trace.synthetic import (
     loop_nest_trace,
     random_trace,
@@ -92,12 +92,12 @@ class TestSweep:
             assert point.traffic_words == point.total_misses * point.line_words
 
     def test_smallest_and_least_traffic_are_members(self):
-        sweep = explore_line_sizes(zipf_trace(400, 60, seed=1), budget=5)
+        sweep = LineSizeExplorer(zipf_trace(400, 60, seed=1)).explore(5)
         assert sweep.smallest() in sweep.instances
         assert sweep.least_traffic() in sweep.instances
 
     def test_at_accessor(self):
-        sweep = explore_line_sizes(loop_nest_trace(8, 4), budget=0)
+        sweep = LineSizeExplorer(loop_nest_trace(8, 4)).explore(0)
         assert sweep.at(2).budget == 0
 
     def test_loop_footprint_shrinks_with_line_size(self):
@@ -110,7 +110,7 @@ class TestSweep:
 
     def test_validation_hooks(self):
         trace = zipf_trace(300, 50, seed=2)
-        sweep = explore_line_sizes(trace, budget=3)
+        sweep = LineSizeExplorer(trace).explore(3)
         for point in sweep.instances:
             simulated = simulate_trace(trace, point.to_config())
             assert simulated.non_cold_misses == point.non_cold_misses

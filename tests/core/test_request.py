@@ -1,9 +1,8 @@
-"""ExplorationRequest parity: the unified entry point vs every legacy shim.
+"""ExplorationRequest parity: the one entry point vs the explorer classes.
 
-The acceptance bar for the request API is exact equivalence — each
-legacy helper is a thin shim over :func:`repro.core.explore_request`,
-and both spellings must produce identical results on the paper's
-workloads.
+:func:`repro.core.explore_request` runs every exploration shape through
+the same explorer classes a caller could drive by hand; both spellings
+must produce identical results on the paper's workloads.
 """
 
 import pytest
@@ -14,12 +13,9 @@ from repro.core import (
     ExplorationRequest,
     ExplorationResult,
     MultiTraceExplorer,
-    explore,
-    explore_many,
-    explore_percent,
     explore_request,
 )
-from repro.core.linesize import LineSizeExplorer, explore_line_sizes
+from repro.core.linesize import LineSizeExplorer
 from repro.obs import Recorder
 from repro.store import ArtifactStore
 from repro.trace.synthetic import loop_nest_trace, zipf_trace
@@ -40,47 +36,52 @@ def parity_traces(tiny_runs):
     return traces
 
 
+def _explore(trace, budget, **kwargs):
+    """The first result of a one-budget single-trace request."""
+    return explore_request(
+        ExplorationRequest.single(trace, budget=budget, **kwargs)
+    ).results[0]
+
+
 class TestSingleParity:
-    def test_explore_shim_matches_request(self, parity_traces):
+    def test_request_matches_explorer_class(self, parity_traces):
         for trace in parity_traces:
-            for budget in (0, 4):
-                via_shim = explore(trace, budget)
+            explorer = AnalyticalCacheExplorer(trace)
+            for budget in (0, 2, 4):
                 report = explore_request(
                     ExplorationRequest.single(trace, budget=budget)
                 )
                 assert report.mode == "single"
                 assert report.budgets == (budget,)
                 assert (
-                    report.results[0].to_json_dict() == via_shim.to_json_dict()
+                    report.results[0].to_json_dict()
+                    == explorer.explore(budget).to_json_dict()
                 ), trace.name
-
-    def test_explore_shim_matches_explorer_class(self, parity_traces):
-        for trace in parity_traces:
-            direct = AnalyticalCacheExplorer(trace).explore(2)
-            assert explore(trace, 2).to_json_dict() == direct.to_json_dict()
 
     def test_explore_percent_parity(self, parity_traces):
         for trace in parity_traces:
-            via_shim = explore_percent(trace, 10.0)
+            explorer = AnalyticalCacheExplorer(trace)
             report = explore_request(
                 ExplorationRequest.single(trace, percent=10.0)
             )
-            assert report.results[0].to_json_dict() == via_shim.to_json_dict()
+            assert (
+                report.results[0].to_json_dict()
+                == explorer.explore_percent(10.0).to_json_dict()
+            )
             # The resolved absolute budget matches the trace statistics.
-            explorer = AnalyticalCacheExplorer(trace)
             assert report.budgets == (explorer.statistics.budget(10.0),)
 
     def test_explore_many_parity(self, parity_traces):
         budgets = (0, 1, 5)
         for trace in parity_traces:
-            via_shim = explore_many(trace, budgets)
+            direct = AnalyticalCacheExplorer(trace).explore_many(budgets)
             report = explore_request(
                 ExplorationRequest.single(trace, budgets=budgets)
             )
-            assert len(via_shim) == len(report.results) == len(budgets)
-            for shim_result, request_result in zip(via_shim, report.results):
+            assert len(direct) == len(report.results) == len(budgets)
+            for direct_result, request_result in zip(direct, report.results):
                 assert (
-                    shim_result.to_json_dict() == request_result.to_json_dict()
+                    direct_result.to_json_dict() == request_result.to_json_dict()
                 )
 
     def test_mixed_absolute_and_percent_budgets(self):
@@ -94,26 +95,24 @@ class TestSingleParity:
 
     def test_include_depth_one_passes_through(self):
         trace = _paper_trace()
-        shim = explore(trace, 0, include_depth_one=True)
-        report = explore_request(
-            ExplorationRequest.single(trace, budget=0, include_depth_one=True)
-        )
-        assert 1 in report.results[0].as_dict()
-        assert report.results[0].to_json_dict() == shim.to_json_dict()
+        direct = AnalyticalCacheExplorer(trace).explore(0, include_depth_one=True)
+        result = _explore(trace, 0, include_depth_one=True)
+        assert 1 in result.as_dict()
+        assert result.to_json_dict() == direct.to_json_dict()
 
 
 class TestExploreEngineBugfix:
-    """``explore(trace, budget)`` used to drop engine/recorder/store."""
+    """A request honours its engine, recorder and store."""
 
     def test_engine_choice_is_honored(self):
         trace = zipf_trace(400, 40, seed=3)
         recorder = Recorder()
-        explore(trace, 0, engine="vectorized", recorder=recorder)
+        _explore(trace, 0, engine="vectorized", recorder=recorder)
         assert recorder.find("engine:vectorized") is not None
 
     def test_alias_and_all_engines_agree(self, parity_traces):
         trace = parity_traces[0]
-        reference = explore(trace, 1, engine="serial").to_json_dict()
+        reference = _explore(trace, 1, engine="serial").to_json_dict()
         for engine in (
             "parallel",
             "parallel-shm",
@@ -122,7 +121,7 @@ class TestExploreEngineBugfix:
             "auto",
             "bitmask",
         ):
-            assert explore(trace, 1, engine=engine).to_json_dict() == reference
+            assert _explore(trace, 1, engine=engine).to_json_dict() == reference
         # The retired names run vectorized, and their reports say so.
         vectorized = explore_request(
             ExplorationRequest.single(trace, budget=1, engine="vectorized")
@@ -136,12 +135,12 @@ class TestExploreEngineBugfix:
     def test_store_passes_through(self, tmp_path):
         trace = zipf_trace(300, 30, seed=9)
         store = ArtifactStore(tmp_path / "s")
-        explore(trace, 0, store=store)
+        _explore(trace, 0, store=store)
         assert store.stats.puts > 0
 
     def test_unknown_engine_fails_fast(self):
         with pytest.raises(ValueError, match="unknown engine"):
-            explore(_paper_trace(), 0, engine="warp-drive")
+            ExplorationRequest.single(_paper_trace(), budget=0, engine="warp-drive")
 
 
 class TestMultiParity:
@@ -153,23 +152,9 @@ class TestMultiParity:
         b.name = "zipf"
         return [a, b]
 
-    def test_run_dispatches_to_sum_and_each(self, app_set):
-        multi = MultiTraceExplorer(app_set)
-        for budget in (0, 6):
-            assert multi.run(budget, mode="sum").as_dict() == (
-                multi.explore_sum(budget).as_dict()
-            )
-            assert multi.run(budget, mode="each").as_dict() == (
-                multi.explore_each(budget).as_dict()
-            )
-
-    def test_run_rejects_unknown_mode(self, app_set):
-        with pytest.raises(ValueError, match="mode"):
-            MultiTraceExplorer(app_set).run(0, mode="median")
-
     @pytest.mark.parametrize("mode", ["sum", "each"])
     def test_request_matches_explorer(self, app_set, mode):
-        direct = MultiTraceExplorer(app_set).run(4, mode=mode)
+        direct = getattr(MultiTraceExplorer(app_set), f"explore_{mode}")(4)
         report = explore_request(
             ExplorationRequest.multi(app_set, budget=4, mode=mode)
         )
@@ -187,30 +172,60 @@ class TestMultiParity:
         assert report.multi_results[0].as_dict() == direct.as_dict()
 
 
+class TestPreludeReachesEveryMode:
+    @pytest.mark.parametrize("mode", ["sum", "each", "linesize"])
+    def test_python_prelude_runs_the_reference_builders(self, monkeypatch, mode):
+        import json
+
+        from repro.core import engines
+        from repro.scenario import ScenarioSpec
+
+        calls = []
+        reference = engines.build_mrct
+
+        def spy(stripped):
+            calls.append(stripped)
+            return reference(stripped)
+
+        monkeypatch.setattr(engines, "build_mrct", spy)
+        a = loop_nest_trace(24, 10)
+        a.name = "loops"
+        b = zipf_trace(500, 40, seed=2)
+        b.name = "zipf"
+        traces = (b,) if mode == "linesize" else (a, b)
+
+        def report(prelude):
+            request = ExplorationRequest(
+                traces=traces,
+                mode=mode,
+                budgets=(0, 6),
+                scenario=ScenarioSpec(prelude=prelude),
+            )
+            return json.dumps(explore_request(request).to_json_dict())
+
+        auto = report("auto")
+        assert calls == []
+        assert report("python") == auto
+        # One reference MRCT per trace, or per swept line size.
+        assert len(calls) == (
+            len(LineSizeExplorer.DEFAULT_LINE_SIZES) if mode == "linesize" else 2
+        )
+
+
 class TestLineSizeParity:
-    def test_shim_matches_request(self):
+    def test_request_matches_class(self):
         trace = zipf_trace(600, 48, seed=7)
         line_sizes = (1, 2, 4)
-        via_shim = explore_line_sizes(trace, 2, line_sizes=line_sizes)
+        direct = LineSizeExplorer(trace, line_sizes=line_sizes).explore(2)
         report = explore_request(
             ExplorationRequest.line_sweep(trace, budget=2, line_sizes=line_sizes)
         )
         sweep = report.line_sweeps[0]
-        assert sweep.budget == via_shim.budget == 2
+        assert sweep.budget == direct.budget == 2
         for line in line_sizes:
             assert (
                 sweep.by_line_words[line].to_json_dict()
-                == via_shim.by_line_words[line].to_json_dict()
-            )
-
-    def test_shim_matches_class(self):
-        trace = loop_nest_trace(32, 8)
-        direct = LineSizeExplorer(trace, line_sizes=(1, 4)).explore(0)
-        shim = explore_line_sizes(trace, 0, line_sizes=(1, 4))
-        for line in (1, 4):
-            assert (
-                shim.by_line_words[line].as_dict()
-                == direct.by_line_words[line].as_dict()
+                == direct.by_line_words[line].to_json_dict()
             )
 
 
@@ -258,21 +273,25 @@ class TestRequestValidation:
             ExplorationRequest(traces=(_paper_trace(),), budgets=(-1,))
 
     def test_unknown_engine(self):
+        from repro.scenario import ScenarioSpec
+
         with pytest.raises(ValueError, match="unknown engine"):
             ExplorationRequest(
-                traces=(_paper_trace(),), budgets=(0,), engine="nope"
+                traces=(_paper_trace(),),
+                budgets=(0,),
+                scenario=ScenarioSpec(engine="nope"),
             )
 
 
 class TestScenario:
-    """ScenarioSpec is the contract; loose kwargs are deprecation shims."""
+    """ScenarioSpec is the contract; constructor keywords build one."""
 
     def test_loose_kwargs_build_an_equivalent_spec(self):
         from repro.scenario import ScenarioSpec
 
-        loose = ExplorationRequest(
-            traces=(_paper_trace(),),
-            budgets=(0,),
+        loose = ExplorationRequest.single(
+            _paper_trace(),
+            budget=0,
             engine="serial",
             prelude="python",
             max_depth=8,
@@ -285,18 +304,18 @@ class TestScenario:
             ),
         )
         assert loose.scenario == spec_first.scenario
-        # The spec is copied back onto the loose fields, so old attribute
-        # reads keep working.
+        # The machinery attributes read through to the scenario.
         assert spec_first.engine == "serial"
         assert spec_first.prelude == "python"
         assert spec_first.max_depth == 8
+        assert spec_first.include_depth_one is False
 
     def test_loose_and_scenario_reports_are_byte_identical(self):
         from repro.scenario import ScenarioSpec
 
         trace = _paper_trace()
         via_loose = explore_request(
-            ExplorationRequest(traces=(trace,), budgets=(0, 2), engine="serial")
+            ExplorationRequest.single(trace, budgets=(0, 2), engine="serial")
         )
         via_spec = explore_request(
             ExplorationRequest(
@@ -310,13 +329,39 @@ class TestScenario:
     def test_conflicting_loose_kwarg_and_spec_rejected(self):
         from repro.scenario import ScenarioSpec
 
-        with pytest.raises(ValueError, match="conflicting 'engine'"):
-            ExplorationRequest(
-                traces=(_paper_trace(),),
-                budgets=(0,),
-                engine="serial",
-                scenario=ScenarioSpec(engine="vectorized"),
+        # One spelling per call: even an agreeing keyword is refused.
+        for engine in ("serial", "vectorized"):
+            with pytest.raises(ValueError, match="conflicting 'engine'"):
+                ExplorationRequest.single(
+                    _paper_trace(),
+                    budget=0,
+                    engine=engine,
+                    scenario=ScenarioSpec(engine="vectorized"),
+                )
+        with pytest.raises(ValueError, match="conflicting 'max_depth', 'policy'"):
+            ExplorationRequest.single(
+                _paper_trace(),
+                budget=0,
+                max_depth=8,
+                policy="fifo",
+                scenario=ScenarioSpec(),
             )
+
+    def test_default_scenario_is_the_baseline(self):
+        from repro.scenario import ScenarioSpec
+
+        request = ExplorationRequest(traces=(_paper_trace(),), budgets=(0,))
+        assert request.scenario == ScenarioSpec()
+        for mode in ("multi", "line_sweep"):
+            trace = _paper_trace()
+            trace.name = "a"
+            built = getattr(ExplorationRequest, mode)(
+                [trace] if mode == "multi" else trace,
+                budget=0,
+                max_depth=4,
+                engine="serial",
+            )
+            assert built.scenario == ScenarioSpec(engine="serial", max_depth=4)
 
     def test_single_helper_accepts_the_scenario_triple(self):
         request = ExplorationRequest.single(
@@ -395,7 +440,7 @@ class TestReport:
         assert report.to_json_dict()["store"]["puts"] > 0
 
     def test_result_json_round_trip(self):
-        result = explore(_paper_trace(), 3)
+        result = _explore(_paper_trace(), 3)
         clone = ExplorationResult.from_json_dict(result.to_json_dict())
         assert clone.to_json_dict() == result.to_json_dict()
         assert clone.as_dict() == result.as_dict()

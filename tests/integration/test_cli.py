@@ -507,9 +507,62 @@ class TestScenarioFlags:
         assert "materializing" in captured.err
         assert "policy fifo" in captured.out
 
+    def test_stream_fallback_honours_max_level(self, trace_file, capsys):
+        import json
+
+        def depths(*flags):
+            assert main(
+                ["stream", trace_file, "--address-bits", "12",
+                 "--max-level", "2", "--budget", "5", "--json", *flags]
+            ) == 0
+            results = json.loads(capsys.readouterr().out)["results"]["5"]
+            instances = results["instances"] if flags else results
+            return [inst["depth"] for inst in instances]
+
+        baseline = depths()
+        assert baseline == [2, 4]
+        assert depths("--cost-model", "area") == baseline
+
     def test_submit_and_stream_expose_the_flags(self, capsys):
         for command in ("submit", "stream"):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             out = capsys.readouterr().out
             assert "--policy" in out and "--l2-depth" in out
+
+
+class TestRequestParity:
+    """``repro explore --json`` answers exactly what ``explore_request`` does."""
+
+    @pytest.mark.parametrize(
+        "flags,scenario",
+        [
+            ([], {}),
+            (
+                ["--policy", "fifo", "--l2-depth", "16", "--cost-model", "energy"],
+                {"policy": "fifo", "l2_depth": 16, "cost_model": "energy"},
+            ),
+        ],
+    )
+    def test_explore_json_matches_explore_request(
+        self, trace_file, capsys, flags, scenario
+    ):
+        import json
+
+        from repro.core.request import ExplorationRequest, explore_request
+        from repro.trace.io import read_trace
+
+        assert main(
+            ["explore", trace_file, "--percent", "10", "--json", *flags]
+        ) == 0
+        document = json.loads(capsys.readouterr().out)
+        report = explore_request(
+            ExplorationRequest.single(
+                read_trace(trace_file), percent=10.0, **scenario
+            )
+        )
+        expected = report.results[0].to_json_dict()
+        if report.scenario is not None:
+            expected["scenario"] = report.scenario
+        assert document == expected
+        assert ("scenario" in document) == bool(scenario)

@@ -5,8 +5,11 @@ docstring; and docs/api.md must not reference names that do not exist.
 """
 
 import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -41,6 +44,33 @@ def test_all_names_exist_and_are_documented(package_name):
         obj = getattr(package, name)
         if callable(obj) or isinstance(obj, type):
             assert obj.__doc__, f"{package_name}.{name} lacks a docstring"
+
+
+def test_subpackage_imports_keep_top_level_names():
+    """Importing any package must not rebind a name ``repro`` exports.
+
+    Runs in a fresh interpreter: this process has long since imported
+    every subpackage, so a shadowed name would already look settled.
+    """
+    script = (
+        "import importlib, repro\n"
+        "before = {name: getattr(repro, name) for name in repro.__all__}\n"
+        f"for package in {PACKAGES!r}:\n"
+        "    importlib.import_module(package)\n"
+        "changed = sorted(\n"
+        "    name for name, obj in before.items() if getattr(repro, name) is not obj\n"
+        ")\n"
+        "assert not changed, f'rebound by a subpackage import: {changed}'\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)

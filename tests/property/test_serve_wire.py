@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.request import ExplorationRequest, explore_request
+from repro.scenario import ScenarioSpec
 from repro.serve.protocol import (
     ProtocolError,
     request_from_wire,
@@ -77,11 +78,13 @@ def requests(draw):
         mode=mode,
         budgets=budgets,
         percents=percents,
-        max_depth=draw(st.sampled_from([None, 4, 16])),
-        include_depth_one=draw(st.booleans()) if mode == "single" else False,
         line_sizes=(1, 2, 4) if mode == "linesize" else ExplorationRequest.__dataclass_fields__["line_sizes"].default,
-        engine=draw(st.sampled_from(["auto", "serial"])),
-        prelude=draw(st.sampled_from(["auto", "python"])),
+        scenario=ScenarioSpec(
+            max_depth=draw(st.sampled_from([None, 4, 16])),
+            include_depth_one=draw(st.booleans()) if mode == "single" else False,
+            engine=draw(st.sampled_from(["auto", "serial"])),
+            prelude=draw(st.sampled_from(["auto", "python"])),
+        ),
     )
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.request import ExplorationRequest, explore_request
+from repro.scenario import ScenarioSpec
 from repro.serve.protocol import (
     BATCH_REQUEST_SCHEMA,
     REQUEST_SCHEMA,
@@ -76,10 +77,12 @@ class TestRequestCodec:
             mode="single",
             budgets=(0, 2),
             percents=(5.0,),
-            max_depth=8,
-            include_depth_one=True,
-            engine="serial",
-            prelude="python",
+            scenario=ScenarioSpec(
+                engine="serial",
+                prelude="python",
+                max_depth=8,
+                include_depth_one=True,
+            ),
         )
         rebuilt = request_from_wire(request_to_wire(request))
         assert request_fields(rebuilt) == request_fields(request)
@@ -92,9 +95,7 @@ class TestRequestCodec:
             "budgets": [0],
         }
         request = request_from_wire(wire)
-        assert request.engine == "auto"
-        assert request.prelude == "auto"
-        assert request.include_depth_one is False
+        assert request.scenario == ScenarioSpec()
 
     def test_unknown_field_rejected(self, tiny_request) -> None:
         wire = request_to_wire(tiny_request)
@@ -143,8 +144,6 @@ class TestScenarioWire:
         }
 
     def test_scenario_round_trips(self, tiny_trace) -> None:
-        from repro.scenario import ScenarioSpec
-
         request = ExplorationRequest(
             traces=(tiny_trace,),
             mode="single",
@@ -240,10 +239,16 @@ class TestRequestKey:
         for variant in (
             ExplorationRequest(traces=(tiny_trace,), mode="single", budgets=(1,)),
             ExplorationRequest(
-                traces=(tiny_trace,), mode="single", budgets=(0,), engine="serial"
+                traces=(tiny_trace,),
+                mode="single",
+                budgets=(0,),
+                scenario=ScenarioSpec(engine="serial"),
             ),
             ExplorationRequest(
-                traces=(tiny_trace,), mode="single", budgets=(0,), prelude="python"
+                traces=(tiny_trace,),
+                mode="single",
+                budgets=(0,),
+                scenario=ScenarioSpec(prelude="python"),
             ),
             ExplorationRequest(
                 traces=(tiny_trace,), mode="linesize", budgets=(0,)
