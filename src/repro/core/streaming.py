@@ -37,7 +37,8 @@ faster on a whole trace — but the session layer appends to it.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from array import array
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.postlude import LevelHistogram, validate_max_level
 from repro.trace.trace import Trace
@@ -129,6 +130,11 @@ class StreamingState:
 
         Returns:
             the number of references ingested from this chunk.
+
+        Raises:
+            ValueError: when an address does not fit ``address_bits``.
+                The whole chunk is checked first, so a rejected chunk
+                leaves the state exactly as it was.
         """
         if isinstance(chunk, Trace):
             if chunk.address_bits > self.address_bits:
@@ -136,9 +142,22 @@ class StreamingState:
                     f"chunk address_bits {chunk.address_bits} exceeds "
                     f"session width {self.address_bits}"
                 )
-            addresses: Iterable[int] = chunk.addresses
-        else:
+            addresses: Sequence = chunk.addresses
+        elif isinstance(chunk, (list, tuple, array)):
             addresses = chunk
+        else:
+            addresses = list(chunk)
+        top_mask = -1 << self.address_bits
+        if addresses and (
+            int(min(addresses)) < 0 or int(max(addresses)) & top_mask
+        ):
+            for addr in addresses:
+                addr = int(addr)
+                if addr < 0 or addr & top_mask:
+                    raise ValueError(
+                        f"address {addr:#x} does not fit in "
+                        f"{self.address_bits} bits"
+                    )
 
         limit = self.limit
         head = self._head
@@ -146,16 +165,11 @@ class StreamingState:
         occurrences = self.occurrences
         row_members = self.row_members
         counts = self._counts
-        top_mask = -1 << self.address_bits
         h1, h2 = self._h1, self._h2
         n = 0
 
         for addr in addresses:
             addr = int(addr)
-            if addr < 0 or addr & top_mask:
-                raise ValueError(
-                    f"address {addr:#x} does not fit in {self.address_bits} bits"
-                )
             n += 1
             mixed = _mix64(addr & _MASK64)
             h1 = (h1 * _POLY_A + mixed + 1) & _MASK64

@@ -17,9 +17,18 @@ on long traces.  This engine removes that driver loop:
    single weighted row.  Loop-dominated embedded traces re-enter the same
    steady state every iteration, so this routinely compresses the row
    count from O(N) to O(N') (measured ~99x on a 1024-word loop nest).
-4. **Walk** the BCAT depth-first without materializing it; each node is
-   one broadcast ``AND`` + popcount + weighted ``bincount`` over its row
-   segment — no per-occurrence Python, no gathers, no bit permutation.
+4. **Walk** the BCAT level by level without materializing it.  Each
+   block of rows goes down the tree in a scratch copy in which every row
+   is ANDed with the members of its current node.  At each level one
+   popcount and one weighted ``bincount`` over the block give that
+   level's counts; ``searchsorted`` over the sorted keys counts each
+   row's node members, and rows whose node has fewer than two members
+   are dropped; then every row is narrowed to its child node.  At the
+   shallow levels, where a few nodes hold many rows, a narrowing step is
+   one broadcast ``AND`` per node; below them it is one pass over the
+   block that flips the zero-bit mask with a per-row all-ones word where
+   the key bit is set.  There is no Python per occurrence, and none per
+   node below the shallow levels.
 
 When NumPy is missing the module stays importable and
 :func:`compute_level_histograms_vectorized` silently falls back to the
@@ -50,13 +59,23 @@ try:  # NumPy is optional: the engine falls back to the serial kernel.
 except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
 
-#: Byte budget for one node's ``block & mask`` temporary in the BCAT
-#: walk.  Large nodes (the root spans every row) are processed in row
-#: blocks of this size so the walk's transient memory stays flat instead
-#: of scaling with the row count — at N=10^6 undeduplicated rows the
-#: unblocked temporaries were 2x the matrix itself.  Sized to sit in L2
-#: cache territory.
+#: Byte budget for one row block of the BCAT walk.  The walk carries each
+#: block of the matrix through every level in two scratch buffers of this
+#: size, so its transient memory stays flat instead of scaling with the
+#: row count — at N=10^6 undeduplicated rows an unblocked pass would hold
+#: temporaries twice the matrix itself.  Sized to sit in L2 cache
+#: territory.
 _WALK_BLOCK_BYTES = 4 * 1024 * 1024
+
+#: Where the walk stops narrowing node by node.  Narrowing one run of
+#: rows that share a child node is one broadcast ``AND`` plus a fixed
+#: Python cost; the level-wide pass instead builds a per-row mask for
+#: every word of the block.  A level whose block has at least this many
+#: words per run (the shallow levels, where a few nodes hold many rows)
+#: is narrowed run by run.
+_WORDS_PER_RUN = 4096
+
+_ALL_ONES = 0xFFFF_FFFF_FFFF_FFFF
 
 #: Prefer the hardware popcount ufunc (NumPy >= 2.0); older NumPy builds
 #: fall back to a byte lookup table.  Module-level so tests can force the
@@ -80,21 +99,13 @@ def _byte_popcount_table():
     return _BYTE_POPCOUNT
 
 
-def _row_popcounts(block, mask):
-    """Per-row popcount of ``block & mask`` (block: ``(rows, W)`` uint64)."""
-    masked = block & mask
+def _row_popcounts(block):
+    """Per-row popcount of a ``(rows, W)`` uint64 block."""
     if _USE_BITWISE_COUNT:
-        return _np.bitwise_count(masked).sum(axis=1, dtype=_np.int64)
+        # einsum sums the short uint8 rows ~1.5x faster than sum(axis=1).
+        return _np.einsum("ij->i", _np.bitwise_count(block), dtype=_np.int64)
     table = _byte_popcount_table()
-    return table[masked.view(_np.uint8)].sum(axis=1, dtype=_np.int64)
-
-
-def _mask_cardinality(mask) -> int:
-    """Total set bits of a packed ``(W,)`` uint64 mask."""
-    if _USE_BITWISE_COUNT:
-        return int(_np.bitwise_count(mask).sum())
-    table = _byte_popcount_table()
-    return int(table[mask.view(_np.uint8)].sum())
+    return table[block.view(_np.uint8)].sum(axis=1, dtype=_np.int64)
 
 
 def _pack_bigint(value: int, nbytes: int):
@@ -161,45 +172,12 @@ def _pack_conflict_rows(mrct: MRCT, perm, nbytes: int):
     return matrix, weights[:row], positions[:row]
 
 
-def _walk_tables(zerosets: ZeroOneSets, limit: int):
-    """Packed per-level split masks and the root mask for the BCAT walk.
-
-    Returns ``(zero_masks, one_masks, universe)`` — ``(limit, W)``
-    uint64 arrays plus the ``(W,)`` all-members mask.  Small (kilobytes
-    even at large N'), but shared by every node of the walk.
-    """
-    nprime = zerosets.n_unique
-    nwords = (nprime + 63) // 64
-    nbytes = nwords * 8
-    zero_masks = _np.empty((limit, nwords), dtype=_np.uint64)
-    one_masks = _np.empty((limit, nwords), dtype=_np.uint64)
+def _level_masks(sets, limit: int, nbytes: int):
+    """The first ``limit`` bigint split sets packed into a ``(limit, W)`` array."""
+    masks = _np.empty((limit, nbytes // 8), dtype=_np.uint64)
     for bit in range(limit):
-        zero_masks[bit] = _pack_bigint(zerosets.zero[bit], nbytes)
-        one_masks[bit] = _pack_bigint(zerosets.one[bit], nbytes)
-    universe = _np.full(nwords, _np.uint64(0xFFFF_FFFF_FFFF_FFFF))
-    if nprime % 64:
-        universe[-1] = _np.uint64((1 << (nprime % 64)) - 1)
-    return zero_masks, one_masks, universe
-
-
-def _node_counts(matrix, weights, row_lo, row_hi, mask, out) -> None:
-    """Accumulate one node's weighted distance histogram into ``out``.
-
-    Blocked: rows are processed ``_WALK_BLOCK_BYTES`` at a time, so the
-    ``block & mask`` temporary never scales with the node's row count —
-    the walk's transient memory stays flat even at the root node of an
-    undeduplicated million-row matrix, and each block's popcount input
-    stays cache-resident.
-    """
-    words = max(int(matrix.shape[1]), 1)
-    block_rows = max(_WALK_BLOCK_BYTES // (words * 8), 1)
-    for start in range(row_lo, row_hi, block_rows):
-        end = min(start + block_rows, row_hi)
-        distances = _row_popcounts(matrix[start:end], mask)
-        # Weighted bincount: weights are occurrence multiplicities,
-        # far below 2**53, so the float64 sums are exact integers.
-        binned = _np.bincount(distances, weights=weights[start:end])
-        out[: len(binned)] += binned.astype(_np.int64)
+        masks[bit] = _pack_bigint(sets[bit], nbytes)
+    return masks
 
 
 def _walk_bit_matrix(
@@ -207,59 +185,117 @@ def _walk_bit_matrix(
     limit: int,
     matrix,
     weights,
-    positions,
+    row_keys,
+    keys,
     histograms: Dict[int, LevelHistogram],
 ) -> None:
-    """Depth-first BCAT walk over a row-sorted weighted bit-matrix.
+    """Level-synchronous BCAT pass over a key-sorted weighted bit-matrix.
 
-    ``matrix`` rows must be ordered by ``positions`` (each row's
-    identifier position under the bit-reversed permutation, ascending)
-    so every BCAT node is one contiguous row segment; ``weights`` are
-    the rows' occurrence multiplicities.  Mirrors ``bcat.walk_bcat_sets``
-    including its pruning of nodes with fewer than two members, and
-    fills ``histograms`` in place.  Shared by the bigint-packing path
-    (:func:`compute_level_histograms_vectorized`) and the fused packed
-    path (:func:`compute_level_histograms_packed`).
+    ``keys`` are every identifier's bit-reversed low ``limit`` address
+    bits, sorted; ``row_keys`` are the keys of the rows' identifiers,
+    ascending, so every BCAT node is one contiguous row segment.
+    ``weights`` are the rows' occurrence multiplicities.  Each row block
+    is carried through all levels at once (:func:`_walk_block`); the
+    result equals ``bcat.walk_bcat_sets`` with its pruning of nodes with
+    fewer than two members, and fills ``histograms`` in place.  Shared
+    by the bigint-packing path (:func:`compute_level_histograms_vectorized`)
+    and the fused packed path (:func:`compute_level_histograms_packed`).
     """
-    nprime = zerosets.n_unique
-    zero_masks, one_masks, universe = _walk_tables(zerosets, limit)
+    rows, words = matrix.shape
+    nbytes = words * 8
+    zero_masks = _level_masks(zerosets.zero, limit, nbytes)
+    one_masks = _level_masks(zerosets.one, limit, nbytes)
     # Per-level accumulators; a conflict cardinality can never exceed N'-1.
-    level_counts = _np.zeros((limit + 1, nprime + 1), dtype=_np.int64)
-    # A node is (level, mask, first_position, row_lo, row_hi, cardinality).
-    stack = [(0, universe, 0, 0, matrix.shape[0], nprime)]
-    while stack:
-        level, mask, first_position, row_lo, row_hi, cardinality = stack.pop()
-        if cardinality < 2:
-            continue
-        if row_hi > row_lo:
-            _node_counts(matrix, weights, row_lo, row_hi, mask, level_counts[level])
-        if level >= limit:
-            continue
-        left_mask = mask & zero_masks[level]
-        left_cardinality = _mask_cardinality(left_mask)
-        right_cardinality = cardinality - left_cardinality
-        split_position = first_position + left_cardinality
-        split_row = int(_np.searchsorted(positions, split_position))
-        if right_cardinality >= 2:
-            stack.append(
-                (
-                    level + 1,
-                    mask & one_masks[level],
-                    split_position,
-                    split_row,
-                    row_hi,
-                    right_cardinality,
-                )
-            )
-        if left_cardinality >= 2:
-            stack.append(
-                (level + 1, left_mask, first_position, row_lo, split_row, left_cardinality)
-            )
+    level_counts = _np.zeros((limit + 1, zerosets.n_unique + 1), dtype=_np.int64)
+    block_rows = max(min(_WALK_BLOCK_BYTES // nbytes, rows), 1)
+    buffers = [_np.empty((block_rows, words), dtype=_np.uint64) for _ in range(2)]
+    for start in range(0, rows, block_rows):
+        end = min(start + block_rows, rows)
+        _walk_block(
+            matrix[start:end],
+            weights[start:end],
+            row_keys[start:end],
+            keys,
+            zero_masks,
+            one_masks,
+            level_counts,
+            buffers,
+        )
     # Copy the dense per-level accumulators into sparse histograms.
     for level, accumulated in enumerate(level_counts):
         counts = histograms[level].counts
         for distance in _np.flatnonzero(accumulated):
             counts[int(distance)] = int(accumulated[distance])
+
+
+def _walk_block(
+    block, weights, block_keys, keys, zero_masks, one_masks, level_counts, buffers
+) -> None:
+    """Carry one key-sorted row block down the BCAT, one level per step.
+
+    ``live`` holds each row ANDed with the members of the row's node at
+    the current level, so its row popcounts are that level's distances.
+    At each level:
+
+    1. count every row's node members with ``searchsorted`` over
+       ``keys`` (once per distinct key), and drop the rows whose node
+       has fewer than two members — their subtrees count nothing;
+    2. add one weighted ``bincount`` of the row popcounts;
+    3. narrow every row to its child node: ``zero_masks[level]`` or
+       ``one_masks[level]`` by the key bit.  Where a few nodes hold many
+       rows this is one broadcast ``AND`` per run of equal bits; deeper
+       it is one pass that flips the zero mask with a per-row all-ones
+       word where the bit is set (the rows hold no bit outside their
+       node, so the flipped mask acts as the one mask).
+
+    Each step writes the other of the two ``buffers``, so the matrix
+    itself is never written.
+    """
+    limit = len(zero_masks)
+    new_key = _np.empty(len(block_keys), dtype=bool)
+    new_key[0] = True
+    _np.not_equal(block_keys[1:], block_keys[:-1], out=new_key[1:])
+    unique_keys = block_keys[new_key]
+    inverse = _np.cumsum(new_key) - 1  # row -> index into unique_keys
+    live = block
+    turn = 0
+    for level in range(limit + 1):
+        low = _np.uint64((1 << (limit - level)) - 1)
+        members = _np.searchsorted(keys, unique_keys | low, side="right")
+        members -= _np.searchsorted(keys, unique_keys & ~low, side="left")
+        kept = members >= 2
+        if not kept.all():
+            if not kept.any():
+                return
+            row_kept = kept[inverse]
+            out = buffers[turn][: int(_np.count_nonzero(row_kept))]
+            live = _np.compress(row_kept, live, axis=0, out=out)
+            turn ^= 1
+            weights = weights[row_kept]
+            inverse = (_np.cumsum(kept) - 1)[inverse[row_kept]]
+            unique_keys = unique_keys[kept]
+        # Weighted bincount: weights are occurrence multiplicities, far
+        # below 2**53, so the float64 sums are exact integers.
+        binned = _np.bincount(_row_popcounts(live), weights=weights)
+        level_counts[level, : len(binned)] += binned.astype(_np.int64)
+        if level == limit:
+            return
+        bits = (unique_keys >> _np.uint64(limit - 1 - level)) & _np.uint64(1)
+        edges = _np.flatnonzero(bits[1:] != bits[:-1]) + 1
+        out = buffers[turn][: len(live)]
+        turn ^= 1
+        if (len(edges) + 1) * _WORDS_PER_RUN <= live.size:
+            bounds = [0, *_np.searchsorted(inverse, edges).tolist(), len(live)]
+            bit = int(bits[0])
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                mask = one_masks[level] if bit else zero_masks[level]
+                _np.bitwise_and(live[lo:hi], mask, out=out[lo:hi])
+                bit ^= 1
+        else:
+            flips = (bits * _np.uint64(_ALL_ONES))[inverse]
+            _np.bitwise_xor(zero_masks[level], flips[:, None], out=out)
+            out &= live
+        live = out
 
 
 def _level_limit(zerosets: ZeroOneSets, max_level: Optional[int]) -> int:
@@ -269,37 +305,35 @@ def _level_limit(zerosets: ZeroOneSets, max_level: Optional[int]) -> int:
 
 
 def prepare_bigint_walk(zerosets: ZeroOneSets, limit: int, mrct: MRCT):
-    """Row-sort a bigint MRCT into walk form: ``(matrix, weights, positions)``.
+    """Row-sort a bigint MRCT into walk form.
 
-    Rows are ordered by their identifier's position under the
-    bit-reversed permutation, so every BCAT node is one contiguous row
-    segment — the precondition of :func:`_walk_bit_matrix`.
+    Returns ``(matrix, weights, row_keys, keys)``: rows are ordered by
+    their identifier's bit-reversed key, so every BCAT node is one
+    contiguous row segment — the precondition of :func:`_walk_bit_matrix`.
     """
     nprime = zerosets.n_unique
     nbytes = ((nprime + 63) // 64) * 8
     key = _bit_reversed_keys(zerosets, limit, nbytes)
     perm = _np.argsort(key, kind="stable")
-    return _pack_conflict_rows(mrct, perm, nbytes)
+    keys = key[perm]
+    matrix, weights, positions = _pack_conflict_rows(mrct, perm, nbytes)
+    return matrix, weights, keys[positions], keys
 
 
 def prepare_packed_walk(zerosets: ZeroOneSets, limit: int, packed: "PackedMRCT"):
     """Row-sort a :class:`PackedMRCT` into walk form.
 
-    Returns ``(matrix, weights, positions)`` with rows gathered under
-    the bit-reversed identifier permutation.
+    Returns ``(matrix, weights, row_keys, keys)`` with rows gathered in
+    ascending bit-reversed key order.
     """
     nprime = zerosets.n_unique
     nbytes = ((nprime + 63) // 64) * 8
     key = _bit_reversed_keys(zerosets, limit, nbytes)
-    perm = _np.argsort(key, kind="stable")
-    inverse_perm = _np.empty(nprime, dtype=_np.int64)
-    inverse_perm[perm] = _np.arange(nprime, dtype=_np.int64)
-    row_positions = inverse_perm[packed.idents]
-    order = _np.argsort(row_positions, kind="stable")
+    row_keys = key[packed.idents]
+    order = _np.argsort(row_keys, kind="stable")
     matrix = _np.ascontiguousarray(packed.matrix[order])
     weights = packed.weights[order].astype(_np.float64)
-    positions = row_positions[order]
-    return matrix, weights, positions
+    return matrix, weights, row_keys[order], _np.sort(key)
 
 
 def compute_level_histograms_vectorized(
@@ -326,9 +360,9 @@ def compute_level_histograms_vectorized(
         return histograms  # no row can conflict: every histogram is empty
 
     with recorder.phase("postlude:pack-rows"):
-        matrix, weights, positions = prepare_bigint_walk(zerosets, limit, mrct)
+        walk = prepare_bigint_walk(zerosets, limit, mrct)
     with recorder.phase("postlude:walk"):
-        _walk_bit_matrix(zerosets, limit, matrix, weights, positions, histograms)
+        _walk_bit_matrix(zerosets, limit, *walk, histograms)
     return histograms
 
 
@@ -363,7 +397,7 @@ def compute_level_histograms_packed(
         return histograms
 
     with recorder.phase("postlude:pack-rows"):
-        matrix, weights, positions = prepare_packed_walk(zerosets, limit, packed)
+        walk = prepare_packed_walk(zerosets, limit, packed)
     with recorder.phase("postlude:walk"):
-        _walk_bit_matrix(zerosets, limit, matrix, weights, positions, histograms)
+        _walk_bit_matrix(zerosets, limit, *walk, histograms)
     return histograms

@@ -385,7 +385,7 @@ class StreamCheckpointCodec:
     """A :class:`repro.core.streaming.StreamingState` snapshot.
 
     Layout: header (address width, bound flag + bound, total references,
-    digest accumulators), the LRU stack as int64 little-endian addresses
+    digest accumulators), the LRU stack as uint64 little-endian addresses
     most recent first (the stack holds exactly the unique references —
     nothing is ever evicted), uint64 occurrence counts aligned to the
     stack, then the *raw* per-level cardinality counts in the
@@ -414,7 +414,7 @@ class StreamCheckpointCodec:
                 snapshot["h2"],
                 len(stack),
             ),
-            _array_bytes(array("q", stack)),
+            _array_bytes(array("Q", stack)),
             _array_bytes(array("Q", occurrences)),
             struct.pack("<I", len(counts)),
         ]
@@ -437,7 +437,7 @@ class StreamCheckpointCodec:
             h2,
             n_unique,
         ) = reader.unpack("<IBIQQQQ")
-        stack = _array_from("q", reader.read(8 * n_unique)).tolist()
+        stack = _array_from("Q", reader.read(8 * n_unique)).tolist()
         occurrences = _array_from("Q", reader.read(8 * n_unique)).tolist()
         (n_levels,) = reader.unpack("<I")
         counts: List[Dict[int, int]] = []

@@ -19,6 +19,17 @@ entry's mtime, making mtime order LRU order).  Eviction, like every
 other failure mode here, degrades to a cache miss — the pipeline
 recomputes and rewrites.
 
+A put does not list the store to find out whether it is over the cap.
+Each process keeps a byte *ledger* per root: the total at its last
+directory scan plus the bytes it has put since.  Only a put that would
+take the ledger past ``max_bytes`` scans (and evicts); ``prune`` and
+``clear`` reset the ledger to what they found.  With one writer the
+ledger is never below the true total, so the cap holds exactly as if
+every put scanned.  With several writers (processes, or stores without
+a cap) each ledger misses the others' puts: the root can exceed the cap
+by what the other writers put since a process last scanned, and it is
+brought back under the cap by the next put whose ledger crosses it.
+
 Telemetry: every ``get``/``put`` updates the store's :class:`StoreStats`
 and, when a :class:`repro.obs.Recorder` is passed, records
 ``store_hits`` / ``store_misses`` / ``store_bytes_read`` /
@@ -30,6 +41,7 @@ from __future__ import annotations
 
 import mmap as _mmap
 import os
+import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -54,6 +66,13 @@ QUARANTINE_DIR = "quarantine"
 
 #: Environment variable naming the default store location for the CLI.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+
+#: Per-process byte ledger, keyed by ``(pid, absolute root)``: the
+#: bytes found at the last scan plus this process's puts since.  The pid
+#: makes a forked child start its own ledger instead of inheriting one.
+_LEDGERS: Dict[Tuple[int, str], int] = {}
+_LEDGER_LOCK = threading.Lock()
 
 
 def default_cache_dir() -> str:
@@ -160,6 +179,7 @@ class ArtifactStore:
                 "mmap_reads must be 'auto', 'always', 'never' or a bool"
             )
         self.root = Path(root)
+        self._root_name = os.path.abspath(self.root)
         self.max_bytes = max_bytes
         self.memory_entries = memory_entries
         self.mmap_reads = mmap_reads
@@ -290,8 +310,29 @@ class ArtifactStore:
         self.stats.bytes_written += len(blob)
         recorder.count("store_bytes_written", len(blob))
         self._memory_put(key.digest, value)
-        if self.max_bytes is not None:
+        if self.max_bytes is not None and not self._ledger_add(len(blob)):
             self.prune(self.max_bytes)
+
+    def _ledger_key(self) -> Tuple[int, str]:
+        return (os.getpid(), self._root_name)
+
+    def _ledger_add(self, size: int) -> bool:
+        """Book ``size`` new bytes; False when a scan is due instead.
+
+        A scan is due when this process has not scanned the root yet, or
+        when the booked total would pass the cap.
+        """
+        key = self._ledger_key()
+        with _LEDGER_LOCK:
+            booked = _LEDGERS.get(key)
+            if booked is None or booked + size > self.max_bytes:
+                return False
+            _LEDGERS[key] = booked + size
+            return True
+
+    def _ledger_set(self, total: int) -> None:
+        with _LEDGER_LOCK:
+            _LEDGERS[self._ledger_key()] = total
 
     def _touch(self, path: Path) -> None:
         """Bump an entry's mtime so mtime order approximates LRU order.
@@ -347,33 +388,45 @@ class ArtifactStore:
 
     # -- maintenance ------------------------------------------------------------
 
-    def entries(self) -> List[StoreEntry]:
-        """All live entries (quarantine excluded), oldest-used first."""
-        found: List[StoreEntry] = []
-        if not self.root.is_dir():
+    def _scan(self) -> List[Tuple[float, str, str, int]]:
+        """``(mtime, path, stage, size)`` per live entry, oldest-used first.
+
+        One ``os.scandir`` pass; plain tuples, so a scan before eviction
+        builds no ``Path`` objects.
+        """
+        found: List[Tuple[float, str, str, int]] = []
+        try:
+            stage_dirs = list(os.scandir(self.root))
+        except OSError:  # no root yet
             return found
-        for stage_dir in sorted(self.root.iterdir()):
+        for stage_dir in stage_dirs:
             if not stage_dir.is_dir() or stage_dir.name == QUARANTINE_DIR:
                 continue
-            for path in stage_dir.glob(f"*{ENTRY_SUFFIX}"):
+            try:
+                listing = list(os.scandir(stage_dir.path))
+            except OSError:  # pragma: no cover - raced with a clearer
+                continue
+            for item in listing:
+                if not item.name.endswith(ENTRY_SUFFIX):
+                    continue
                 try:
-                    stat = path.stat()
+                    stat = item.stat()
                 except OSError:  # pragma: no cover - raced with eviction
                     continue
-                found.append(
-                    StoreEntry(
-                        path=path,
-                        stage=stage_dir.name,
-                        size=stat.st_size,
-                        mtime=stat.st_mtime,
-                    )
-                )
-        found.sort(key=lambda entry: (entry.mtime, str(entry.path)))
+                found.append((stat.st_mtime, item.path, stage_dir.name, stat.st_size))
+        found.sort()
         return found
+
+    def entries(self) -> List[StoreEntry]:
+        """All live entries (quarantine excluded), oldest-used first."""
+        return [
+            StoreEntry(path=Path(path), stage=stage, size=size, mtime=mtime)
+            for mtime, path, stage, size in self._scan()
+        ]
 
     def total_bytes(self) -> int:
         """Bytes held by live entries."""
-        return sum(entry.size for entry in self.entries())
+        return sum(size for _, _, _, size in self._scan())
 
     def prune(self, max_bytes: Optional[int] = None) -> int:
         """Evict least-recently-used entries until under ``max_bytes``.
@@ -384,19 +437,20 @@ class ArtifactStore:
         cap = self.max_bytes if max_bytes is None else max_bytes
         if cap is None:
             return 0
-        entries = self.entries()
-        total = sum(entry.size for entry in entries)
+        entries = self._scan()
+        total = sum(size for _, _, _, size in entries)
         evicted = 0
-        for entry in entries:
+        for _, path, _, size in entries:
             if total <= cap:
                 break
             try:
-                entry.path.unlink()
+                os.unlink(path)
             except OSError:  # pragma: no cover - raced with another pruner
                 continue
-            total -= entry.size
+            total -= size
             evicted += 1
             self.stats.evictions += 1
+        self._ledger_set(total)
         return evicted
 
     def clear(self) -> int:
@@ -417,6 +471,7 @@ class ArtifactStore:
                 except OSError:  # pragma: no cover
                     pass
         self._memory.clear()
+        self._ledger_set(0)
         return removed
 
     def describe(self) -> Dict[str, object]:

@@ -15,8 +15,14 @@ simulator in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 from repro.trace.trace import Trace
+
+try:  # NumPy is optional: the statistics fall back to a Python loop.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
+    _np = None
 
 
 @dataclass(frozen=True)
@@ -53,27 +59,49 @@ class TraceStatistics:
         return int(self.max_misses * percent / 100.0)
 
 
+def _runs_and_unique(trace: Trace) -> Tuple[int, int]:
+    """Runs of equal consecutive addresses, and the unique count ``N'``.
+
+    With NumPy both are one C-level pass each: the runs count the places
+    where an address differs from its predecessor, ``N'`` the same over
+    the sorted addresses.  (``np.unique`` would do, but without flags it
+    imports ``numpy.ma`` on NumPy 2.4.)
+    """
+    addresses = trace.addresses
+    if not addresses:
+        return 0, 0
+    if _np is not None:
+        values = _np.frombuffer(addresses, dtype=_np.int64)
+        runs = 1 + int(_np.count_nonzero(values[1:] != values[:-1]))
+        ordered = _np.sort(values)
+        unique = 1 + int(_np.count_nonzero(ordered[1:] != ordered[:-1]))
+        return runs, unique
+    runs = 0
+    previous = None
+    for addr in addresses:
+        if addr != previous:
+            runs += 1
+            previous = addr
+    return runs, trace.unique_count()
+
+
 def max_misses_depth_one(trace: Trace) -> int:
     """Non-cold misses of a single-word direct-mapped cache.
 
     Every access misses unless it repeats the previous address; of those
     misses, exactly one per unique reference is cold.
     """
-    misses = 0
-    previous = None
-    for addr in trace:
-        if addr != previous:
-            misses += 1
-            previous = addr
-    return misses - trace.unique_count()
+    runs, unique = _runs_and_unique(trace)
+    return runs - unique
 
 
 def compute_statistics(trace: Trace, name: str = "") -> TraceStatistics:
     """Compute the Table 5/6 statistics row for a trace."""
+    runs, unique = _runs_and_unique(trace)
     return TraceStatistics(
         name=name or trace.name,
         n=len(trace),
-        n_unique=trace.unique_count(),
-        max_misses=max_misses_depth_one(trace),
+        n_unique=unique,
+        max_misses=runs - unique,
         address_bits=trace.address_bits,
     )

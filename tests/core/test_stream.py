@@ -112,6 +112,33 @@ class TestAppendEquivalence:
         with pytest.raises(ValueError, match="does not fit"):
             session.append([-1])
 
+    @pytest.mark.parametrize(
+        "chunk, first_bad",
+        [([1, 2, 99], 0x63), ([1, 20, 99], 0x14), ([-3, 1], -0x3)],
+        ids=["last", "first-of-two", "negative"],
+    )
+    @pytest.mark.parametrize("wrap", [list, tuple, iter], ids=["list", "tuple", "iter"])
+    def test_rejected_append_changes_nothing(
+        self, tmp_path, chunk, first_bad, wrap
+    ) -> None:
+        """A rejected chunk leaves the histograms, digest and checkpoint
+        bytes of a session that never saw it."""
+        dirty = TraceSession(4, store=ArtifactStore(tmp_path / "dirty"))
+        clean = TraceSession(4, store=ArtifactStore(tmp_path / "clean"))
+        dirty.append([1, 2, 3])
+        clean.append([1, 2, 3])
+        with pytest.raises(ValueError) as err:
+            dirty.append(wrap(chunk))
+        assert str(err.value) == f"address {first_bad:#x} does not fit in 4 bits"
+        assert dirty.histograms()[0].counts == {}
+        assert as_dicts(dirty.histograms()) == as_dicts(clean.histograms())
+        assert dirty.total_refs == clean.total_refs
+        assert dirty.content_digest == clean.content_digest
+        assert dirty.checkpoint() == clean.checkpoint()
+        (dirty_entry,) = dirty.store.entries()
+        (clean_entry,) = clean.store.entries()
+        assert dirty_entry.path.read_bytes() == clean_entry.path.read_bytes()
+
 
 class TestDigest:
     def test_digest_is_split_independent(self) -> None:

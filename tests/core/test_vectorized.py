@@ -1,15 +1,19 @@
 """The vectorized (NumPy bit-matrix) engine against the serial reference.
 
 Bit-identity on the paper's example and edge cases, both popcount code
-paths, the NumPy-less fallback (in-process and in a real subprocess with
-``import numpy`` failing), and the ``auto`` selection policy.
+paths, the level walk under every block size and narrowing mode
+(Hypothesis), the NumPy-less fallback (in-process and in a real
+subprocess with ``import numpy`` failing), and the ``auto`` selection
+policy.
 """
 
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import engines
 from repro.core import vectorized as vec
@@ -73,6 +77,70 @@ def test_byte_table_popcount_path(monkeypatch):
     _, table_path = _both(trace)
     assert fast == serial
     assert table_path == serial
+
+
+@st.composite
+def walk_traces(draw):
+    """Traces for the level walk: reuse, loops (rows of weight > 1),
+    all-cold sequences and at most one unique address."""
+    bits = draw(st.integers(min_value=1, max_value=10))
+    top = (1 << bits) - 1
+    kind = draw(st.sampled_from(["reuse", "loop", "cold", "single"]))
+    if kind == "single":
+        addresses = [draw(st.integers(0, top))] * draw(st.integers(0, 6))
+    elif kind == "cold":
+        addresses = draw(st.lists(st.integers(0, top), unique=True, max_size=40))
+    else:
+        pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=16))
+        addresses = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
+        if kind == "loop":
+            addresses = addresses * draw(st.integers(2, 4))
+    return Trace(addresses, address_bits=bits)
+
+
+@pytest.mark.skipif(not vec.numpy_available(), reason="needs numpy")
+@given(
+    trace=walk_traces(),
+    max_level=st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+    block_bytes=st.sampled_from([1, vec._WALK_BLOCK_BYTES]),
+    words_per_run=st.sampled_from([1, vec._WORDS_PER_RUN, 1 << 62]),
+)
+@settings(max_examples=200, deadline=None)
+def test_level_walk_matches_serial(trace, max_level, block_bytes, words_per_run):
+    """Both walk inputs (bigint and packed rows) equal the serial engine.
+
+    ``block_bytes=1`` forces one row per block; ``words_per_run`` 1 and
+    2**62 force node-by-node and level-wide narrowing at every level.
+    """
+    from repro.core.prelude_fast import build_packed_mrct
+
+    stripped = strip_trace(trace)
+    zerosets = build_zero_one_sets(stripped)
+    mrct = build_mrct(stripped)
+    reference = compute_level_histograms(zerosets, mrct, max_level=max_level)
+    packed = build_packed_mrct(stripped)
+    with mock.patch.object(vec, "_WALK_BLOCK_BYTES", block_bytes), mock.patch.object(
+        vec, "_WORDS_PER_RUN", words_per_run
+    ):
+        assert (
+            compute_level_histograms_vectorized(zerosets, mrct, max_level=max_level)
+            == reference
+        )
+        assert (
+            vec.compute_level_histograms_packed(zerosets, packed, max_level=max_level)
+            == reference
+        )
+
+
+@pytest.mark.skipif(not vec.numpy_available(), reason="needs numpy")
+def test_level_walk_on_full_width_addresses():
+    """64 address bits: the root's key range spans the whole uint64."""
+    trace = Trace(
+        [(1 << 62) | 5, 5, (1 << 62) | 5, 7, 5, (3 << 61) | 7, 7],
+        address_bits=64,
+    )
+    serial, fast = _both(trace)
+    assert fast == serial
 
 
 def test_fallback_when_numpy_object_missing(monkeypatch, paper_trace):

@@ -100,12 +100,61 @@ class TestLiveSessions:
         with pytest.raises(ServeError) as err:
             client.session_append(info["id"], [8])
         assert err.value.status == 400
-        # The rejected chunk must not have been partially ingested... is
-        # allowed to be partially ingested *within* the failing chunk,
-        # but the session must still answer and accept further appends.
+        # The session must still answer and accept further appends.
         answer = client.session_explore(info["id"])
         assert set(answer["results"]) == {"0"}
         client.session_append(info["id"], [4])
+
+    def test_rejected_append_leaves_a_clean_session(
+        self, live_server, tmp_path
+    ) -> None:
+        """A 400 append changes nothing: the session keeps the digest,
+        answers and checkpoint bytes of one that never saw the chunk."""
+        pool = WorkerPool(workers=1, kind="inline", store_root=tmp_path / "store")
+        server = live_server(pool)
+        client = server.client()
+        dirty = client.session_create(address_bits=4)
+        clean = client.session_create(address_bits=4)
+        client.session_append(dirty["id"], [1, 2, 3])
+        client.session_append(clean["id"], [1, 2, 3])
+        with pytest.raises(ServeError) as err:
+            client.session_append(dirty["id"], [1, 2, 99])
+        assert err.value.status == 400
+        assert "address 0x63 does not fit in 4 bits" in str(err.value)
+        dirty_info = client.session_info(dirty["id"])
+        clean_info = client.session_info(clean["id"])
+        assert dirty_info["total_refs"] == clean_info["total_refs"] == 3
+        assert dirty_info["digest"] == clean_info["digest"]
+        assert client.session_explore(dirty["id"], budgets=(0, 1))["results"] == (
+            client.session_explore(clean["id"], budgets=(0, 1))["results"]
+        )
+        dirty_digest = client.session_append(dirty["id"], [], checkpoint=True)[
+            "checkpoint_digest"
+        ]
+        assert dirty_digest == dirty_info["digest"]
+        (entry,) = [p for p in (tmp_path / "store").rglob("*.art")]
+        checkpoint = entry.read_bytes()
+        # The clean session checkpoints to the same key; its bytes match.
+        entry.unlink()
+        client.session_append(clean["id"], [], checkpoint=True)
+        assert entry.read_bytes() == checkpoint
+
+    def test_wide_address_checkpoint(self, live_server, tmp_path) -> None:
+        """A 64-bit session holding addresses >= 2**63 checkpoints and
+        resumes (the stack is stored unsigned)."""
+        pool = WorkerPool(workers=1, kind="inline", store_root=tmp_path / "store")
+        server = live_server(pool)
+        client = server.client()
+        info = client.session_create(address_bits=64)
+        sent = [2**64 - 1, 7, 2**63, 2**64 - 1, 7]
+        response = client.session_append(info["id"], sent, checkpoint=True)
+        digest = response["checkpoint_digest"]
+        assert digest == response["session"]["digest"]
+        resumed = client.session_create(address_bits=64, resume=digest)
+        assert resumed["total_refs"] == len(sent)
+        assert client.session_explore(resumed["id"], budgets=(0,))["results"] == (
+            client.session_explore(info["id"], budgets=(0,))["results"]
+        )
 
     def test_checkpoint_without_store_is_400(self, live_server) -> None:
         server = live_server()

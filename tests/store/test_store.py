@@ -15,6 +15,7 @@ from repro.store import (
     default_cache_dir,
     trace_digest,
 )
+from repro.store.codec import pack_entry
 from repro.trace.strip import strip_trace
 from repro.trace.synthetic import zipf_trace
 
@@ -212,6 +213,70 @@ class TestConcurrency:
         assert len(reader.entries()) == 1
         assert reader.get(key, MRCT_CODEC).sets == mrct.sets
         assert reader.stats.corrupt == 0
+
+
+def _overfilling_writer(root, seeds):
+    """A second writer with no cap of its own."""
+    store = ArtifactStore(root, max_bytes=None)
+    for seed in seeds:
+        key, mrct = _mrct_entry(_make_trace(seed))
+        store.put(key, MRCT_CODEC, mrct)
+
+
+def _blob_size(mrct):
+    return len(pack_entry(MRCT_CODEC.version, MRCT_CODEC.encode(mrct)))
+
+
+class TestLedger:
+    def test_puts_under_the_ledger_do_not_list_the_store(self, tmp_path, monkeypatch):
+        key, mrct = _mrct_entry(_make_trace(1))
+        size = _blob_size(mrct)
+        store = ArtifactStore(tmp_path / "s", max_bytes=2 * size + size // 2)
+        scans = []
+        original = ArtifactStore._scan
+        monkeypatch.setattr(
+            ArtifactStore,
+            "_scan",
+            lambda self: scans.append(1) or original(self),
+        )
+        store.put(key, MRCT_CODEC, mrct)  # the first put in this process scans
+        store.put(key, MRCT_CODEC, mrct)  # overwrite: the ledger over-counts
+        assert len(scans) == 1
+        # prune and clear replace the ledger with what they found, so
+        # the next puts fit under the cap without another scan.
+        store.prune()
+        store.put(key, MRCT_CODEC, mrct)
+        assert len(scans) == 2
+        store.clear()
+        store.put(key, MRCT_CODEC, mrct)
+        store.put(key, MRCT_CODEC, mrct)
+        assert len(scans) == 3
+        assert store.total_bytes() == size
+
+    def test_other_writer_overfill_is_pruned_by_next_over_ledger_put(self, tmp_path):
+        root = str(tmp_path / "s")
+        own = [_mrct_entry(_make_trace(seed)) for seed in range(101, 105)]
+        sizes = [_blob_size(mrct) for _, mrct in own]
+        cap = sizes[0] + sizes[1] + sizes[2] + sizes[3] // 2
+        first = ArtifactStore(root, max_bytes=cap)
+        first.put(own[0][0], MRCT_CODEC, own[0][1])
+        writer = multiprocessing.Process(
+            target=_overfilling_writer, args=(root, range(201, 209))
+        )
+        writer.start()
+        writer.join(timeout=60)
+        assert writer.exitcode == 0
+        assert first.total_bytes() > cap
+        # The ledger does not see the other writer's bytes: puts that
+        # keep it under the cap leave the root over the cap.
+        for key, mrct in own[1:3]:
+            first.put(key, MRCT_CODEC, mrct)
+            assert first.total_bytes() > cap
+        assert first.stats.evictions == 0
+        # This put takes the ledger past the cap: it scans and prunes.
+        first.put(own[3][0], MRCT_CODEC, own[3][1])
+        assert first.total_bytes() <= cap
+        assert first.stats.evictions > 0
 
 
 class TestWarmStart:

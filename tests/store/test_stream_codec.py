@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import pytest
@@ -61,6 +62,34 @@ class TestRoundTrip:
             STAGE_CODECS[STREAM_CHECKPOINT_CODEC.stage]
             is STREAM_CHECKPOINT_CODEC
         )
+
+
+class TestWideAddresses:
+    def test_bytes_below_two_to_the_63_are_unchanged(self) -> None:
+        """The stack is encoded unsigned; below 2**63 the bytes equal the
+        signed encoding earlier checkpoints used (SHA-256 pins)."""
+        narrow = STREAM_CHECKPOINT_CODEC.encode(loaded_state().snapshot())
+        wide_state = StreamingState(64, max_level=6)
+        wide_state.append([2**63 - 1, 5, 2**62, 2**63 - 1, 5, 0])
+        wide = STREAM_CHECKPOINT_CODEC.encode(wide_state.snapshot())
+        assert hashlib.sha256(narrow).hexdigest() == (
+            "09e234e97485b4dfbbc8b16dfc04c8a1a0e77c028d9b713dbc095aefbcfa9cd8"
+        )
+        assert hashlib.sha256(wide).hexdigest() == (
+            "277c3cd4c33733d2be4cebef8391ea368222541339e7da0ed55f7ddd3ffbee5e"
+        )
+
+    def test_roundtrip_at_the_top_of_64_bits(self) -> None:
+        state = StreamingState(64, max_level=8)
+        state.append([2**64 - 1, 0, 2**63, 2**64 - 1, 0])
+        blob = STREAM_CHECKPOINT_CODEC.encode(state.snapshot())
+        restored = StreamingState.from_snapshot(
+            STREAM_CHECKPOINT_CODEC.decode(blob)
+        )
+        assert restored.stack_addresses() == [0, 2**64 - 1, 2**63]
+        assert restored.histograms() == state.histograms()
+        assert restored.content_digest == state.content_digest
+        assert STREAM_CHECKPOINT_CODEC.encode(restored.snapshot()) == blob
 
 
 class TestCorruption:

@@ -78,3 +78,54 @@ class TestTraceStatistics:
         trace = loop_nest_trace(4, 10)
         stats = compute_statistics(trace)
         assert stats.max_misses == 40 - 4
+
+
+class TestNumpyAndLoopPaths:
+    """The NumPy counts and the no-NumPy loop give the same row."""
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            Trace([]),
+            Trace([9]),
+            Trace([3, 3, 3]),
+            Trace([5, 5, 6, 5, 6]),
+            Trace([70000, 5, 70000, 1 << 20, 5]),
+            Trace([(1 << 62) + 1, 0, (1 << 62) + 1, 0]),
+            loop_nest_trace(16, 7),
+            random_trace(900, 61, seed=4),
+        ],
+        ids=["empty", "one", "repeat", "hand", "mid", "wide", "loop", "random"],
+    )
+    def test_paths_agree(self, monkeypatch, trace):
+        from repro.trace import stats as stats_module
+
+        with_numpy = compute_statistics(trace)
+        monkeypatch.setattr(stats_module, "_np", None)
+        assert compute_statistics(trace) == with_numpy
+        assert max_misses_depth_one(trace) == with_numpy.max_misses
+        assert with_numpy.n_unique == trace.unique_count()
+
+    def test_does_not_import_numpy_ma(self):
+        """``np.unique`` without flags pulls in ``numpy.ma``; the sort-and-
+        diff count must not."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import sys\n"
+            "from repro.trace.stats import compute_statistics\n"
+            "from repro.trace.synthetic import random_trace\n"
+            "compute_statistics(random_trace(200, 30, seed=1))\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "False"
