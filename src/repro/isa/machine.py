@@ -159,7 +159,7 @@ class Machine:
         return Trace(
             self._taddr,
             address_bits=self.program.address_bits,
-            kinds=[AccessKind(kind) for kind in self._tkind],
+            kinds=self._tkind.tobytes(),  # dinero labels, one byte each
             name=name or self._default_name("unified"),
         )
 

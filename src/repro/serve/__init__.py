@@ -21,6 +21,7 @@ from repro.serve.pool import (
     POOL_KINDS,
     BoundedPool,
     WorkerPool,
+    answer_from_store,
     execute_request,
     execute_wire_request,
 )
@@ -31,7 +32,9 @@ from repro.serve.protocol import (
     REQUEST_SCHEMA,
     RESPONSE_SCHEMA,
     ProtocolError,
+    batch_body,
     batch_from_wire,
+    request_body,
     request_from_wire,
     request_key,
     request_to_wire,
@@ -63,11 +66,14 @@ __all__ = [
     "SessionError",
     "SessionManager",
     "WorkerPool",
+    "answer_from_store",
+    "batch_body",
     "batch_from_wire",
     "execute_request",
     "execute_wire_request",
     "parse_metrics",
     "render_metrics",
+    "request_body",
     "request_from_wire",
     "request_key",
     "request_to_wire",

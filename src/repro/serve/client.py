@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import http.client
 import json
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.request import ExplorationReport, ExplorationRequest
 from repro.serve.metrics import parse_metrics
 from repro.serve.protocol import (
     BATCH_REQUEST_SCHEMA,
     ProtocolError,
-    request_to_wire,
+    batch_body,
+    request_body,
     response_from_wire,
 )
 
@@ -58,8 +59,10 @@ class ServeClient:
     # -- transport --------------------------------------------------------------
 
     def _call(
-        self, method: str, path: str, body: Optional[Dict] = None
+        self, method: str, path: str, body: Union[None, Dict, bytes] = None
     ) -> tuple:
+        """One HTTP exchange; a ``bytes`` body is sent as it is, a dict
+        as compact JSON."""
         connection = http.client.HTTPConnection(
             self.host, self.port, timeout=self.timeout
         )
@@ -67,7 +70,11 @@ class ServeClient:
             payload = None
             headers = {}
             if body is not None:
-                payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
+                payload = (
+                    body
+                    if isinstance(body, bytes)
+                    else json.dumps(body, separators=(",", ":")).encode("utf-8")
+                )
                 headers["Content-Type"] = "application/json"
             connection.request(method, path, body=payload, headers=headers)
             response = connection.getresponse()
@@ -78,7 +85,9 @@ class ServeClient:
         finally:
             connection.close()
 
-    def _call_json(self, method: str, path: str, body: Optional[Dict] = None) -> Dict:
+    def _call_json(
+        self, method: str, path: str, body: Union[None, Dict, bytes] = None
+    ) -> Dict:
         status, data = self._call(method, path, body)
         try:
             document = json.loads(data.decode("utf-8"))
@@ -108,13 +117,14 @@ class ServeClient:
         """``GET /metrics`` parsed into ``{metric: value}``."""
         return parse_metrics(self.metrics_text())
 
-    def explore_wire(self, document: Dict) -> Dict:
-        """``POST /v1/explore`` with a raw wire document; raw response."""
+    def explore_wire(self, document: Union[Dict, bytes]) -> Dict:
+        """``POST /v1/explore`` with a raw wire document (or its encoded
+        body); raw response."""
         return self._call_json("POST", "/v1/explore", document)
 
     def explore(self, request: ExplorationRequest) -> ExplorationReport:
         """Submit one :class:`ExplorationRequest`; decoded report back."""
-        response = self.explore_wire(request_to_wire(request))
+        response = self.explore_wire(request_body(request))
         try:
             return response_from_wire(response)
         except ProtocolError as exc:
@@ -126,7 +136,10 @@ class ServeClient:
             "schema": BATCH_REQUEST_SCHEMA,
             "requests": list(documents),
         }
-        response = self._call_json("POST", "/v1/explore/batch", envelope)
+        return self._post_batch(envelope)
+
+    def _post_batch(self, body: Union[Dict, bytes]) -> List[Dict]:
+        response = self._call_json("POST", "/v1/explore/batch", body)
         responses = response.get("responses")
         if not isinstance(responses, list):
             raise ServeError(200, "batch response missing 'responses' list")
@@ -136,8 +149,7 @@ class ServeClient:
         self, requests: Sequence[ExplorationRequest]
     ) -> List[ExplorationReport]:
         """Submit a batch of requests; decoded reports in request order."""
-        documents = [request_to_wire(request) for request in requests]
-        responses = self.explore_batch_wire(documents)
+        responses = self._post_batch(batch_body(requests))
         try:
             return [response_from_wire(response) for response in responses]
         except ProtocolError as exc:

@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import json
 from array import array
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.linesize import LineSizeExplorer
@@ -96,11 +95,12 @@ TRACE_FIELDS = ("name", "address_bits", "addresses", "kinds")
 #: zero/one set per address bit) must stay bounded on the daemon.
 MAX_ADDRESS_BITS = 64
 
-#: The wire labels of the access kinds, the kind of each label, and the
-#: label of a kind.
+#: The wire labels of the access kinds, and the ASCII digit of each
+#: label (for writing a kinds array straight from packed labels).
 _KIND_LABELS = bytes(kind.value for kind in AccessKind)
-_KIND_BY_LABEL = {kind.value: kind for kind in AccessKind}
-_KIND_VALUE = attrgetter("_value_")
+_LABEL_DIGITS = bytes.maketrans(
+    _KIND_LABELS, "".join(map(str, _KIND_LABELS)).encode("ascii")
+)
 
 
 class ProtocolError(ValueError):
@@ -168,19 +168,17 @@ def _address_list(value: object, what: str) -> List[int]:
 
 def trace_to_wire(trace: Trace) -> Dict:
     """A trace as a wire object."""
-    kinds: Optional[List[int]] = None
-    if trace.has_kinds:
-        kinds = list(map(_KIND_VALUE, trace.kinds))
+    labels = trace.kind_labels
     return {
         "name": trace.name,
         "address_bits": trace.address_bits,
         "addresses": trace.addresses.tolist(),
-        "kinds": kinds,
+        "kinds": None if labels is None else list(labels),
     }
 
 
-def _kinds_from_wire(kinds_wire: object) -> List[AccessKind]:
-    """Wire kind labels as :class:`AccessKind` values (strict)."""
+def _kinds_from_wire(kinds_wire: object) -> bytes:
+    """Wire kind labels, checked, as packed labels for :class:`Trace`."""
     if isinstance(kinds_wire, list) and set(map(type, kinds_wire)) <= {int}:
         try:
             labels = bytes(kinds_wire)
@@ -188,10 +186,12 @@ def _kinds_from_wire(kinds_wire: object) -> List[AccessKind]:
             labels = None
         # Deleting every known label must leave nothing behind.
         if labels is not None and not labels.translate(None, _KIND_LABELS):
-            return list(map(_KIND_BY_LABEL.__getitem__, labels))
+            return labels
     # Something is off: the item-by-item walk names the first bad kind.
     try:
-        return [AccessKind(_int(k, "trace.kinds[]")) for k in kinds_wire]
+        return bytes(
+            AccessKind(_int(k, "trace.kinds[]")).value for k in kinds_wire
+        )
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"trace.kinds: {exc}") from exc
 
@@ -252,6 +252,49 @@ def request_to_wire(request: ExplorationRequest) -> Dict:
         **_parameters(request),
         "scenario": request.scenario.to_json_dict(),
     }
+
+
+def request_body(request: ExplorationRequest) -> bytes:
+    """The HTTP body of a request: ``json.dumps(request_to_wire(request))``
+    with compact separators, byte for byte, written without the wire
+    dict.
+
+    Each kinds array is written from the packed labels with one
+    ``translate`` + ``join``, and each address list with one ``repr``,
+    instead of through a per-element JSON encoder.
+    """
+    head = _compact({"schema": REQUEST_SCHEMA, "mode": request.mode})[:-1]
+    tail = _compact(
+        {**_parameters(request), "scenario": request.scenario.to_json_dict()}
+    )[1:]
+    traces = ",".join(map(_trace_body, request.traces))
+    return f'{head},"traces":[{traces}],{tail}'.encode("ascii")
+
+
+def batch_body(requests: Sequence[ExplorationRequest]) -> bytes:
+    """The HTTP body of a batch envelope, as :func:`request_body` writes
+    each member."""
+    head = _compact({"schema": BATCH_REQUEST_SCHEMA, "requests": []})[:-2]
+    members = b",".join(map(request_body, requests))
+    return head.encode("ascii") + members + b"]}"
+
+
+def _trace_body(trace: Trace) -> str:
+    """One trace object of :func:`request_body`."""
+    head = _compact({"name": trace.name, "address_bits": trace.address_bits})
+    # A list of plain ints reprs as its JSON, but for the spaces.
+    addresses = str(trace.addresses.tolist()).replace(" ", "")
+    labels = trace.kind_labels
+    if labels is None:
+        kinds = "null"
+    else:
+        kinds = "[" + ",".join(labels.translate(_LABEL_DIGITS).decode("ascii")) + "]"
+    return f'{head[:-1]},"addresses":{addresses},"kinds":{kinds}}}'
+
+
+def _compact(value: object) -> str:
+    """``json.dumps`` with the wire's compact separators (ASCII output)."""
+    return json.dumps(value, separators=(",", ":"))
 
 
 def _parameters(request: ExplorationRequest) -> Dict:

@@ -118,7 +118,7 @@ def _read_dinero_lines(
 ) -> Trace:
     """The general dinero reader: one line at a time."""
     addresses: List[int] = []
-    kinds: List[AccessKind] = []
+    labels = bytearray()
     with _open_text(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -127,9 +127,9 @@ def _read_dinero_lines(
             parts = line.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: malformed dinero line: {line!r}")
-            kinds.append(AccessKind.from_din(int(parts[0])))
+            labels.append(AccessKind.from_din(int(parts[0])).value)
             addresses.append(int(parts[1], 16))
-    return Trace(addresses, address_bits=address_bits, kinds=kinds, name=name)
+    return Trace(addresses, address_bits=address_bits, kinds=labels, name=name)
 
 
 #: Longest address the bulk scan decodes: 15 hex digits stay below 2**63.
@@ -137,16 +137,15 @@ _SCAN_HEX_DIGITS = 15
 
 
 @functools.lru_cache(maxsize=None)
-def _scan_tables():
-    """Lookup tables of the bulk dinero scan: each byte's hex digit value
-    (-1 for a non-digit) and the :class:`AccessKind` of each label."""
+def _hex_values():
+    """Lookup table of the bulk dinero scan: each byte's hex digit value
+    (-1 for a non-digit)."""
     import numpy as np
 
     values = np.full(256, -1, dtype=np.int8)
     for byte in b"0123456789abcdefABCDEF":
         values[byte] = int(chr(byte), 16)
-    kinds = np.array([AccessKind.from_din(label) for label in range(3)], dtype=object)
-    return values, kinds
+    return values
 
 
 def _scan_dinero(data: bytes):
@@ -154,13 +153,13 @@ def _scan_dinero(data: bytes):
 
     Every line must be a label byte ``0``-``2``, one space and 1-15 hex
     digits, ended by ``\\n`` (the last line may omit it).  Returns the
-    ``array('q')`` addresses and the list of kinds.
+    ``array('q')`` addresses and the packed dinero labels (``bytes``).
     """
     try:
         import numpy as np
     except ImportError:
         return None
-    hex_values, kinds_by_label = _scan_tables()
+    hex_values = _hex_values()
     buf = np.frombuffer(data, dtype=np.uint8)
     # Line ends (a missing last newline counts as one past the end).
     # Positions fit int32 below 2 GiB, halving the index arrays.
@@ -169,7 +168,7 @@ def _scan_dinero(data: bytes):
     if len(buf) and buf[-1] != ord("\n"):
         ends = np.append(ends, index_type(len(buf)))
     if not len(ends):
-        return array("q"), []
+        return array("q"), b""
     digits = np.diff(ends, prepend=index_type(-1))
     digits -= 3  # the label, the space and the newline
     widest = int(digits.max())
@@ -204,7 +203,8 @@ def _scan_dinero(data: bytes):
     packed = array("q")
     packed.frombytes(addresses.view(np.uint8))
     del addresses
-    return packed, kinds_by_label[labels].tolist()
+    # A label byte's hex value is the label itself.
+    return packed, labels.tobytes()
 
 
 # -- csv format ------------------------------------------------------------------
@@ -222,19 +222,19 @@ def write_csv_trace(trace: Trace, path: PathLike) -> None:
 def read_csv_trace(path: PathLike, address_bits: Optional[int] = None) -> Trace:
     """Read a ``kind,address`` CSV trace."""
     addresses: List[int] = []
-    kinds: List[AccessKind] = []
+    labels = bytearray()
     with _open_text(path, "r") as fh:
         reader = csv.DictReader(fh)
         for row in reader:
             kind_name = row["kind"].strip().lower()
             if kind_name not in _KIND_BY_NAME:
                 raise ValueError(f"unknown access kind in CSV: {row['kind']!r}")
-            kinds.append(_KIND_BY_NAME[kind_name])
+            labels.append(_KIND_BY_NAME[kind_name].value)
             addresses.append(int(row["address"], 0))
     return Trace(
         addresses,
         address_bits=address_bits,
-        kinds=kinds,
+        kinds=labels,
         name=os.path.basename(_strip_gz(path)),
     )
 
@@ -270,7 +270,7 @@ def write_binary_trace(trace: Trace, path: PathLike) -> None:
             raise RuntimeError("platform lacks 8-byte array('q') items")
         fh.write(addresses.tobytes())
         if trace.has_kinds:
-            fh.write(bytes(trace.kind(i).value for i in range(len(trace))))
+            fh.write(trace.kind_labels)
 
 
 def read_binary_trace(path: PathLike, address_bits: Optional[int] = None) -> Trace:
@@ -289,10 +289,9 @@ def read_binary_trace(path: PathLike, address_bits: Optional[int] = None) -> Tra
             raise ValueError(f"{path}: truncated address block")
         kinds = None
         if has_kinds:
-            raw = fh.read(count)
-            if len(raw) != count:
+            kinds = fh.read(count)
+            if len(kinds) != count:
                 raise ValueError(f"{path}: truncated kind block")
-            kinds = [AccessKind(b) for b in raw]
     return Trace(
         addresses,
         address_bits=address_bits if address_bits is not None else bits,

@@ -159,3 +159,36 @@ class TestDerivedViews:
         rebased = trace.rebased(9)
         assert rebased.address_bits == 9
         assert list(rebased) == [3]
+
+
+class TestRangeCheck:
+    """Long traces check their address range in one NumPy pass; the
+    messages are the ones the Python ``min``/``max`` path gives."""
+
+    LONG = 2048
+
+    @pytest.fixture(params=["numpy", "python"])
+    def backend(self, request, monkeypatch):
+        if request.param == "numpy":
+            pytest.importorskip("numpy")
+        else:
+            monkeypatch.setitem(__import__("sys").modules, "numpy", None)
+        return request.param
+
+    def test_widths_agree(self, backend):
+        addresses = list(range(self.LONG)) + [2**40 + 3]
+        trace = Trace(addresses)
+        assert trace.address_bits == 41
+        assert Trace([2**63 - 1] * self.LONG).address_bits == 63
+
+    def test_negative_address(self, backend):
+        with pytest.raises(ValueError, match="^trace addresses must be non-negative$"):
+            Trace([5] * self.LONG + [-1])
+
+    def test_too_wide_for_declared_bits(self, backend):
+        with pytest.raises(ValueError, match=r"^address 0x10 does not fit in 4 bits$"):
+            Trace([1] * self.LONG + [16], address_bits=4)
+
+    def test_non_positive_width(self, backend):
+        with pytest.raises(ValueError, match="^address_bits must be >= 1, got 0$"):
+            Trace([0] * self.LONG, address_bits=0)
