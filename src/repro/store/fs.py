@@ -237,6 +237,14 @@ class ArtifactStore:
             return None
         return memoryview(mapping)
 
+    def contains(self, key: ArtifactKey) -> bool:
+        """Whether an entry for ``key`` is present, in memory or on disk.
+
+        Reads, decodes and counts nothing, so a corrupt entry counts as
+        present until a :meth:`get` finds it out.
+        """
+        return key.digest in self._memory or self._entry_path(key).is_file()
+
     def get(self, key: ArtifactKey, codec, context=None, recorder=NULL_RECORDER):
         """Fetch and decode the artifact for ``key``, or ``None`` on miss.
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.cache.config import is_power_of_two
-from repro.trace.reference import AccessKind
 from repro.trace.trace import Trace
 
 
@@ -88,19 +87,20 @@ def compact_trace(trace: Trace, filter_depth: int) -> CompactedTrace:
     mask = filter_depth - 1
     resident: dict = {}
     kept_addresses: List[int] = []
-    kept_kinds: Optional[List[AccessKind]] = [] if trace.has_kinds else None
+    labels = trace.kind_labels
+    kept_labels: Optional[bytearray] = None if labels is None else bytearray()
     for i, addr in enumerate(trace):
         index = addr & mask
         if resident.get(index) == addr:
             continue  # filter hit: provably a hit in every deeper cache
         resident[index] = addr
         kept_addresses.append(addr)
-        if kept_kinds is not None:
-            kept_kinds.append(trace.kind(i))
+        if kept_labels is not None:
+            kept_labels.append(labels[i])
     compacted = Trace(
         kept_addresses,
         address_bits=trace.address_bits,
-        kinds=kept_kinds,
+        kinds=kept_labels,
         name=f"{trace.name}/strip{filter_depth}" if trace.name else "",
     )
     return CompactedTrace(

@@ -48,6 +48,15 @@ class TestTiers:
         assert store.stats.hits == 1
         assert store.stats.puts == 1
 
+    def test_contains_checks_presence_without_counting(self, tmp_path):
+        store = ArtifactStore(tmp_path / "s")
+        key, mrct = _mrct_entry(_make_trace())
+        assert not store.contains(key)
+        store.put(key, MRCT_CODEC, mrct)
+        assert store.contains(key)
+        assert ArtifactStore(tmp_path / "s").contains(key)  # on disk
+        assert store.stats.hits == store.stats.misses == 0
+
     def test_memory_tier_skips_disk(self, tmp_path):
         store = ArtifactStore(tmp_path / "s")
         key, mrct = _mrct_entry(_make_trace())
@@ -328,6 +337,21 @@ class TestWarmStart:
         assert warm_store.stats.puts == 0 or warm_store.stats.hits > 0
         assert bounded.explore(0).to_json_dict() == reference.explore(0).to_json_dict()
         assert warm_store.stats.hits > 0
+
+    def test_histograms_stored_names_what_load_histograms_reads(self, tmp_path):
+        from repro.core.engines import EngineInputs
+
+        trace = _make_trace()
+        store = ArtifactStore(tmp_path / "s")
+        inputs = EngineInputs(trace, store=store)
+        assert not inputs.histograms_stored()
+        AnalyticalCacheExplorer(trace, store=store, engine="serial").explore(0)
+        before = store.stats.as_dict()
+        # The full entry covers every bound.
+        assert inputs.histograms_stored()
+        assert inputs.histograms_stored(max_level=3)
+        assert store.stats.as_dict() == before  # nothing read or counted
+        assert EngineInputs(trace).histograms_stored() is False  # no store
 
     def test_stats_describe_and_default_dir(self, tmp_path, monkeypatch):
         store = ArtifactStore(tmp_path / "s")
