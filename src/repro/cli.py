@@ -126,8 +126,7 @@ def _resolve_store(args: argparse.Namespace):
         return None
     from repro.store import ArtifactStore
 
-    mmap_reads = "never" if getattr(args, "no_mmap", False) else "auto"
-    return ArtifactStore(cache_dir, mmap_reads=mmap_reads)
+    return ArtifactStore(cache_dir)
 
 
 def _add_cache_flags(p: argparse.ArgumentParser) -> None:
@@ -141,12 +140,6 @@ def _add_cache_flags(p: argparse.ArgumentParser) -> None:
         "--no-cache",
         action="store_true",
         help="ignore any artifact store, even if REPRO_CACHE_DIR is set",
-    )
-    p.add_argument(
-        "--no-mmap",
-        action="store_true",
-        help="read store entries into memory instead of memory-mapping "
-        "them (mmap is the default for zero-copy codecs)",
     )
 
 

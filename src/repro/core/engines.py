@@ -105,10 +105,13 @@ class EngineInputs:
     alone); when every consumer's products are injected, ``trace`` may
     be ``None``.
 
-    When an :class:`repro.store.ArtifactStore` is attached, every stage
-    consults the store first (content-addressed by the trace digest) and
-    persists what it computes, so a second exploration of the same trace
-    — any process, any engine — warm-starts instead of recomputing.
+    When an :class:`repro.store.ArtifactStore` is attached, the
+    histograms — what every answer is read from — are looked up in the
+    store first (content-addressed by the trace digest) and persisted
+    when computed, so a second exploration of the same trace — any
+    process, any engine — skips the prelude and the postlude.  The
+    prelude products themselves are never stored: they are rebuilt
+    from the trace whenever a histograms key misses.
 
     Args:
         trace: the raw trace, or ``None`` when the prelude products are
@@ -164,36 +167,26 @@ class EngineInputs:
             self._trace_digest = trace_digest(self.trace)
         return self._trace_digest
 
-    def _stage_key(self, codec, **params: object):
-        """Artifact key for a stage codec, or ``None`` when uncacheable."""
-        digest = self.trace_digest
-        if digest is None:
-            return None
+    def _histograms_key(self, level_key):
+        """Artifact key of the histograms entry for one ``max_level`` key."""
+        from repro.store.codec import HISTOGRAMS_CODEC
         from repro.store.keys import ArtifactKey
 
         return ArtifactKey.for_stage(
-            digest, codec.stage, codec.version, **params
+            self.trace_digest,
+            HISTOGRAMS_CODEC.stage,
+            HISTOGRAMS_CODEC.version,
+            max_level=level_key,
         )
 
-    def load_artifact(self, codec, context=None, **params: object):
-        """Consult the store for one stage's artifact (``None`` on miss)."""
-        if self.store is None:
-            return None
-        key = self._stage_key(codec, **params)
-        if key is None:
-            return None
+    def _get_histograms(self, level_key) -> Optional[Dict[int, LevelHistogram]]:
+        from repro.store.codec import HISTOGRAMS_CODEC
+
         return self.store.get(
-            key, codec, context=context, recorder=self.recorder
+            self._histograms_key(level_key),
+            HISTOGRAMS_CODEC,
+            recorder=self.recorder,
         )
-
-    def save_artifact(self, codec, value, **params: object) -> None:
-        """Persist one stage's artifact (no-op without a store/digest)."""
-        if self.store is None:
-            return
-        key = self._stage_key(codec, **params)
-        if key is None:
-            return
-        self.store.put(key, codec, value, recorder=self.recorder)
 
     def load_histograms(
         self, max_level: Optional[int] = None
@@ -207,15 +200,12 @@ class EngineInputs:
         ``0..max_level`` of the full result are exactly the bounded
         computation.
         """
-        if self.store is None:
+        if self.store is None or self.trace_digest is None:
             return None
-        from repro.store.codec import HISTOGRAMS_CODEC
-
-        level_key = self._histogram_level_key(max_level)
-        exact = self.load_artifact(HISTOGRAMS_CODEC, max_level=level_key)
+        exact = self._get_histograms(self._histogram_level_key(max_level))
         if exact is not None or max_level is None:
             return exact
-        full = self.load_artifact(HISTOGRAMS_CODEC, max_level="full")
+        full = self._get_histograms("full")
         if full is None:
             return None
         return {
@@ -230,10 +220,8 @@ class EngineInputs:
         presence only: nothing is read, decoded or counted."""
         if self.store is None or self.trace_digest is None:
             return False
-        from repro.store.codec import HISTOGRAMS_CODEC
-
         return any(
-            self.store.contains(self._stage_key(HISTOGRAMS_CODEC, max_level=level))
+            self.store.contains(self._histograms_key(level))
             for level in {self._histogram_level_key(max_level), "full"}
         )
 
@@ -242,13 +230,18 @@ class EngineInputs:
         histograms: Dict[int, LevelHistogram],
         max_level: Optional[int] = None,
     ) -> None:
-        """Persist per-level histograms under their ``max_level`` key."""
-        if self.store is None:
+        """Persist per-level histograms under their ``max_level`` key
+        (no-op without a store or a raw trace)."""
+        if self.store is None or self.trace_digest is None:
             return
         from repro.store.codec import HISTOGRAMS_CODEC
 
-        level_key = self._histogram_level_key(max_level)
-        self.save_artifact(HISTOGRAMS_CODEC, histograms, max_level=level_key)
+        self.store.put(
+            self._histograms_key(self._histogram_level_key(max_level)),
+            HISTOGRAMS_CODEC,
+            histograms,
+            recorder=self.recorder,
+        )
 
     @staticmethod
     def _histogram_level_key(max_level: Optional[int]):
@@ -264,23 +257,10 @@ class EngineInputs:
     def stripped(self) -> StrippedTrace:
         if self._stripped is None:
             trace = self.require_trace("the strip prelude stage needs one")
-            if self.store is not None:
-                from repro.store.codec import STRIPPED_CODEC
-
-                cached = self.load_artifact(STRIPPED_CODEC, context=trace)
-                if cached is not None:
-                    self._stripped = cached
-                    self.recorder.record("trace_refs", cached.n)
-                    self.recorder.record("unique_refs", cached.n_unique)
-                    return cached
             with self.recorder.phase("prelude:strip"):
                 self._stripped = self._strip(trace)
                 self.recorder.record("trace_refs", self._stripped.n)
                 self.recorder.record("unique_refs", self._stripped.n_unique)
-            if self.store is not None:
-                from repro.store.codec import STRIPPED_CODEC
-
-                self.save_artifact(STRIPPED_CODEC, self._stripped)
         return self._stripped
 
     @property
@@ -317,45 +297,20 @@ class EngineInputs:
     @property
     def zerosets(self) -> ZeroOneSets:
         if self._zerosets is None:
-            if self.store is not None:
-                from repro.store.codec import ZEROSETS_CODEC
-
-                cached = self.load_artifact(ZEROSETS_CODEC)
-                if cached is not None:
-                    self._zerosets = cached
-                    return cached
             stripped = self.stripped
             with self.recorder.phase("prelude:zerosets"):
                 self._zerosets = self._build_zerosets(stripped)
-            if self.store is not None:
-                from repro.store.codec import ZEROSETS_CODEC
-
-                self.save_artifact(ZEROSETS_CODEC, self._zerosets)
         return self._zerosets
 
     @property
     def mrct(self) -> MRCT:
         if self._mrct is None:
-            if self.store is not None:
-                from repro.store.codec import MRCT_CODEC
-
-                cached = self.load_artifact(MRCT_CODEC)
-                if cached is not None:
-                    self._mrct = cached
-                    self.recorder.record(
-                        "conflict_sets", cached.total_conflict_sets
-                    )
-                    return cached
             stripped = self.stripped
             with self.recorder.phase("prelude:mrct"):
                 self._mrct = self._build_mrct(stripped)
                 self.recorder.record(
                     "conflict_sets", self._mrct.total_conflict_sets
                 )
-            if self.store is not None:
-                from repro.store.codec import MRCT_CODEC
-
-                self.save_artifact(MRCT_CODEC, self._mrct)
         return self._mrct
 
     @property
@@ -367,25 +322,13 @@ class EngineInputs:
     def packed_mrct(self):
         """The packed conflict bit-matrix for the fused vectorized path.
 
-        Built by :func:`repro.core.prelude_fast.build_packed_mrct`
-        (store-consulted first, like every stage) — the bigint MRCT is
-        never materialized on this path.  Requires NumPy; callers gate
-        on :func:`repro.core.vectorized.numpy_available`.
+        Built by :func:`repro.core.prelude_fast.build_packed_mrct` — the
+        bigint MRCT is never materialized on this path.  Requires NumPy;
+        callers gate on :func:`repro.core.vectorized.numpy_available`.
         """
         if self._packed_mrct is None:
             from repro.core.prelude_fast import build_packed_mrct
 
-            if self.store is not None:
-                from repro.store.codec import PACKED_MRCT_CODEC
-
-                cached = self.load_artifact(PACKED_MRCT_CODEC)
-                if cached is not None:
-                    self._packed_mrct = cached
-                    self.recorder.record(
-                        "conflict_sets", cached.total_conflict_sets
-                    )
-                    self.recorder.record("packed_rows", cached.n_rows)
-                    return cached
             stripped = self.stripped
             with self.recorder.phase("prelude:packed-mrct"):
                 self._packed_mrct = build_packed_mrct(
@@ -395,10 +338,6 @@ class EngineInputs:
                     "conflict_sets", self._packed_mrct.total_conflict_sets
                 )
                 self.recorder.record("packed_rows", self._packed_mrct.n_rows)
-            if self.store is not None:
-                from repro.store.codec import PACKED_MRCT_CODEC
-
-                self.save_artifact(PACKED_MRCT_CODEC, self._packed_mrct)
         return self._packed_mrct
 
     @property

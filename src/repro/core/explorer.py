@@ -47,11 +47,11 @@ class AnalyticalCacheExplorer:
             defaults to the zero-overhead null recorder.  When given, a
             :class:`repro.obs.RunManifest` of the run is available from
             :meth:`run_manifest`.
-        store: optional :class:`repro.store.ArtifactStore`.  Every
-            pipeline stage (strip, zero/one sets, MRCT, histograms) then
-            consults the store before computing and persists what it
-            computes, so repeated explorations of the same trace — any
-            process, any engine — warm-start from stored artifacts.
+        store: optional :class:`repro.store.ArtifactStore`.  The
+            per-level histograms are then looked up in the store before
+            the prelude runs and persisted once computed, so repeated
+            explorations of the same trace — any process, any engine —
+            warm-start from the stored histograms.
             Hits/misses/bytes land in the recorder's counters (and hence
             the run manifest).
 

@@ -204,7 +204,7 @@ class LineSizeExplorer:
             explorer = self.explorer_for(line_words)
             result = explorer.explore(budget)
             by_line[line_words] = result
-            cold = explorer.stripped.n_unique
+            cold = explorer.statistics.n_unique
             for instance, misses in zip(result.instances, result.misses):
                 flattened.append(
                     LineInstance(

@@ -53,7 +53,7 @@ def cost_exploration(
     if not result.misses:
         raise ValueError("result carries no miss counts")
     accesses = len(explorer.trace)
-    cold = explorer.stripped.n_unique
+    cold = explorer.statistics.n_unique
     costed: List[CostedInstance] = []
     for instance, misses in zip(result.instances, result.misses):
         estimate = estimate_hardware(instance.to_config(), address_bits)

@@ -41,6 +41,7 @@ hits, one request at a time, never starts a worker, since
 from __future__ import annotations
 
 import asyncio
+import signal
 from concurrent.futures import (
     Future,
     ProcessPoolExecutor,
@@ -150,8 +151,8 @@ class _ReadOnlyStore(ArtifactStore):
     order is what the pool's read would have left.
     """
 
-    def get(self, key, codec, context=None, recorder=NULL_RECORDER):
-        value = super().get(key, codec, context=context, recorder=recorder)
+    def get(self, key, codec, recorder=NULL_RECORDER):
+        value = super().get(key, codec, recorder=recorder)
         if value is None and not _bounded_histograms(key):
             raise _StoreMiss(key.stage)
         return value
@@ -177,6 +178,22 @@ def execute_wire_request(
 ) -> Dict:
     """Decode one wire request and run it (:func:`execute_request`)."""
     return execute_request(request_from_wire(document), store_root)
+
+
+def _reset_worker_signals() -> None:
+    """Process-pool worker initializer: end on SIGTERM again.
+
+    Workers fork lazily, after the serve daemon has put SIGTERM and
+    SIGINT under its event loop, so they would inherit the loop's no-op
+    handler and its wakeup fd: a SIGTERM sent to a worker would not end
+    it (an orphaned worker survives ``kill``), and would be written to
+    the daemon's wakeup fd as if sent to the daemon.  SIGINT keeps the
+    inherited no-op, so a terminal Ctrl-C drains the daemon while its
+    workers finish what they hold.  A SIGTERM to the daemon's own pid
+    still drains it.
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
 
 
 class BoundedPool:
@@ -207,7 +224,9 @@ class BoundedPool:
         self.kind = kind
         self._executor = None
         if kind == "process":
-            self._executor = ProcessPoolExecutor(max_workers=workers)
+            self._executor = ProcessPoolExecutor(
+                max_workers=workers, initializer=_reset_worker_signals
+            )
         elif kind == "thread":
             self._executor = ThreadPoolExecutor(
                 max_workers=workers, thread_name_prefix=thread_name_prefix

@@ -41,7 +41,10 @@ ever holds genuinely in-flight keys.
 Shutdown drains: the listener closes first (no new connections), live
 connections finish the request they are parsing or computing, then the
 worker pool stops.  A request that arrives on a kept-alive connection
-after draining begins is answered ``503``.
+after draining begins is answered ``503``.  A kept-alive connection
+that is only waiting for its next request is closed once
+:data:`DRAIN_IDLE_GRACE_S` has passed, so an idle client cannot hold
+the drain open.
 """
 
 from __future__ import annotations
@@ -74,6 +77,11 @@ from repro.serve.sessions import (
 #: Default bind address and port.
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8437
+
+#: How long a drain lets a kept-alive connection that is waiting for
+#: its next request still send one (it is answered 503) before the
+#: connection is closed.
+DRAIN_IDLE_GRACE_S = 1.0
 
 #: Request bodies above this size are refused with 413.
 MAX_BODY_BYTES = 256 * 1024 * 1024
@@ -139,6 +147,8 @@ class ExploreServer:
         self._store_busy = False
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[asyncio.Task] = set()
+        #: Connection tasks waiting for their next request head.
+        self._idle: Set[asyncio.Task] = set()
         self._draining = False
         self._uptime_phase = None
 
@@ -179,9 +189,11 @@ class ExploreServer:
     async def shutdown(self, drain: bool = True, timeout: Optional[float] = None) -> None:
         """Stop accepting, optionally drain in-flight work, stop the pool.
 
-        With ``drain=True`` every connection task is awaited (up to
-        ``timeout`` seconds, unbounded when ``None``), so a request
-        already computing gets its response before the socket closes.
+        With ``drain=True`` every connection in the middle of a request
+        is awaited (up to ``timeout`` seconds, unbounded when ``None``),
+        so a request already computing gets its response before the
+        socket closes.  Connections waiting for their next request are
+        closed after :data:`DRAIN_IDLE_GRACE_S`.
         """
         self._draining = True
         if self._server is not None:
@@ -190,7 +202,11 @@ class ExploreServer:
         pending = [task for task in self._connections if not task.done()]
         if pending:
             if drain:
+                close_idle = asyncio.get_running_loop().call_later(
+                    DRAIN_IDLE_GRACE_S, self._close_idle
+                )
                 await asyncio.wait(pending, timeout=timeout)
+                close_idle.cancel()
             for task in self._connections:
                 if not task.done():
                     task.cancel()
@@ -199,6 +215,10 @@ class ExploreServer:
         if self._uptime_phase is not None:
             self._uptime_phase.__exit__(None, None, None)
             self._uptime_phase = None
+
+    def _close_idle(self) -> None:
+        for task in self._idle:
+            task.cancel()
 
     # -- metrics ----------------------------------------------------------------
 
@@ -293,6 +313,8 @@ class ExploreServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        task = asyncio.current_task()
+        self._idle.add(task)
         try:
             header_blob = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as exc:
@@ -301,6 +323,8 @@ class ExploreServer:
             raise _HttpError(400, "truncated request head") from exc
         except asyncio.LimitOverrunError as exc:
             raise _HttpError(413, "request head too large") from exc
+        finally:
+            self._idle.discard(task)
         lines = header_blob.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):

@@ -11,8 +11,8 @@ versioned binary serialization.  Typical use::
     explorer.explore(budget)          # cold: computes and persists
     # ... later, any process, any engine:
     explorer = AnalyticalCacheExplorer(trace, store=store)
-    explorer.explore(budget)          # warm: loads stripped/zerosets/
-                                      # mrct/histograms from the store
+    explorer.explore(budget)          # warm: loads the histograms
+                                      # from the store
 """
 
 from repro.store.codec import (
@@ -21,19 +21,11 @@ from repro.store.codec import (
     HISTOGRAMS_CODEC,
     HistogramsCodec,
     MAGIC,
-    MRCT_CODEC,
-    MRCTCodec,
-    PACKED_MRCT_CODEC,
     POLICY_MISSES_CODEC,
-    PackedMRCTCodec,
     PolicyMissesCodec,
     STAGE_CODECS,
     STREAM_CHECKPOINT_CODEC,
-    STRIPPED_CODEC,
     StreamCheckpointCodec,
-    StrippedTraceCodec,
-    ZEROSETS_CODEC,
-    ZeroOneSetsCodec,
     pack_entry,
     unpack_entry,
 )
@@ -60,23 +52,15 @@ __all__ = [
     "HISTOGRAMS_CODEC",
     "HistogramsCodec",
     "MAGIC",
-    "MRCT_CODEC",
-    "MRCTCodec",
-    "PACKED_MRCT_CODEC",
     "POLICY_MISSES_CODEC",
-    "PackedMRCTCodec",
     "PolicyMissesCodec",
     "QUARANTINE_DIR",
     "STAGE_CODECS",
     "STREAM_CHECKPOINT_CODEC",
-    "STRIPPED_CODEC",
     "StoreEntry",
     "StoreStats",
     "StreamCheckpointCodec",
-    "StrippedTraceCodec",
     "TRACE_DIGEST_SCHEMA",
-    "ZEROSETS_CODEC",
-    "ZeroOneSetsCodec",
     "default_cache_dir",
     "pack_entry",
     "trace_digest",

@@ -1,12 +1,12 @@
 """Versioned binary serialization for the pipeline's artifacts.
 
-Each pipeline stage has one codec — an object with a ``stage`` name, a
+Each stored stage has one codec — an object with a ``stage`` name, a
 ``version`` (the schema coordinate of :class:`repro.store.ArtifactKey`),
-``encode(value) -> bytes`` and ``decode(payload, context=None) ->
-value``.  The big set-valued structures (zero/one sets, MRCT conflict
-sets) are arbitrary-precision ints used as bit vectors; they serialize
-as length-prefixed little-endian byte strings, which round-trips exactly
-and costs no more than the ints' own storage.
+``encode(value) -> bytes`` and ``decode(payload) -> value``.  Only what
+answers are read from is stored: the per-level conflict histograms,
+the per-depth miss tables of non-LRU policies, and streaming
+checkpoints.  The prelude's intermediate products (stripped trace,
+zero/one sets, MRCT) are rebuilt from the trace when needed.
 
 On disk every payload travels inside a self-checking container
 (:func:`pack_entry` / :func:`unpack_entry`): magic, container version,
@@ -26,13 +26,9 @@ import hashlib
 import struct
 import sys
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.core.mrct import MRCT
 from repro.core.postlude import LevelHistogram
-from repro.core.zerosets import ZeroOneSets
-from repro.trace.strip import StrippedTrace
-from repro.trace.trace import Trace
 
 #: Container framing magic; identifies a store entry file.
 MAGIC = b"RART"
@@ -60,13 +56,8 @@ def pack_entry(codec_version: int, payload: bytes) -> bytes:
     )
 
 
-def unpack_entry(blob, codec_version: int):
+def unpack_entry(blob: bytes, codec_version: int) -> bytes:
     """Validate framing and checksum; return the payload.
-
-    ``blob`` may be ``bytes`` or a ``memoryview`` (e.g. over an ``mmap``
-    of the entry file); the returned payload is the same kind — a
-    memoryview in, a zero-copy memoryview slice out, which zero-copy
-    codecs decode into array views without materializing the payload.
 
     Raises:
         CorruptArtifact: on bad magic, version mismatch, truncation or
@@ -117,19 +108,6 @@ class _Reader:
         self._pos += size
         return block
 
-    def view(self, size: int) -> memoryview:
-        """A zero-copy window over the next ``size`` payload bytes.
-
-        The view borrows the payload's buffer: whatever is built on it
-        (e.g. ``np.frombuffer``) keeps the payload — and, for a mapped
-        entry, the mapping — alive through ordinary refcounting.
-        """
-        if self._pos + size > len(self._view):
-            raise CorruptArtifact("payload truncated mid-block")
-        block = self._view[self._pos:self._pos + size]
-        self._pos += size
-        return block
-
     def expect_end(self) -> None:
         if self._pos != len(self._view):
             raise CorruptArtifact(
@@ -153,120 +131,6 @@ def _array_from(typecode: str, data: bytes) -> array:
     return values
 
 
-def _encode_bigints(values: Sequence[int]) -> bytes:
-    """Length-prefixed little-endian encoding of bit-vector ints."""
-    parts: List[bytes] = [struct.pack("<I", len(values))]
-    for value in values:
-        raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
-        parts.append(struct.pack("<I", len(raw)))
-        parts.append(raw)
-    return b"".join(parts)
-
-
-def _decode_bigints(reader: _Reader) -> List[int]:
-    (count,) = reader.unpack("<I")
-    values: List[int] = []
-    for _ in range(count):
-        (size,) = reader.unpack("<I")
-        values.append(int.from_bytes(reader.read(size), "little"))
-    return values
-
-
-class StrippedTraceCodec:
-    """Stripped trace: unique addresses + identifier sequence.
-
-    Decoding needs the raw :class:`Trace` as ``context`` — a
-    :class:`StrippedTrace` keeps a reference to its source trace, and
-    the cache is only ever consulted by a caller that holds it (the
-    trace digest in the key came from somewhere).
-    """
-
-    stage = "stripped"
-    version = 1
-
-    def encode(self, stripped: StrippedTrace) -> bytes:
-        addresses = array("q", stripped.unique_addresses)
-        ids = array("I", stripped.id_sequence)
-        return b"".join(
-            (
-                struct.pack(
-                    "<IIQ", stripped.address_bits, stripped.n_unique, stripped.n
-                ),
-                _array_bytes(addresses),
-                _array_bytes(ids),
-            )
-        )
-
-    def decode(
-        self, payload: bytes, context: Optional[Trace] = None
-    ) -> StrippedTrace:
-        if context is None:
-            raise ValueError("StrippedTraceCodec.decode needs the raw trace")
-        reader = _Reader(payload)
-        address_bits, n_unique, n = reader.unpack("<IIQ")
-        unique = _array_from("q", reader.read(8 * n_unique)).tolist()
-        ids = _array_from("I", reader.read(4 * n))
-        reader.expect_end()
-        if n != len(context):
-            raise CorruptArtifact(
-                f"stripped entry covers {n} references, trace has {len(context)}"
-            )
-        return StrippedTrace(
-            trace=context,
-            unique_addresses=unique,
-            id_of={addr: ident for ident, addr in enumerate(unique)},
-            id_sequence=ids,
-            address_bits=address_bits,
-        )
-
-
-class ZeroOneSetsCodec:
-    """Per-bit zero/one sets: two tuples of bit-vector bigints."""
-
-    stage = "zerosets"
-    version = 1
-
-    def encode(self, zerosets: ZeroOneSets) -> bytes:
-        return b"".join(
-            (
-                struct.pack("<I", zerosets.n_unique),
-                _encode_bigints(zerosets.zero),
-                _encode_bigints(zerosets.one),
-            )
-        )
-
-    def decode(
-        self, payload: bytes, context: Optional[Trace] = None
-    ) -> ZeroOneSets:
-        reader = _Reader(payload)
-        (n_unique,) = reader.unpack("<I")
-        zero = tuple(_decode_bigints(reader))
-        one = tuple(_decode_bigints(reader))
-        reader.expect_end()
-        if len(zero) != len(one):
-            raise CorruptArtifact("zero/one set arrays differ in length")
-        return ZeroOneSets(zero=zero, one=one, n_unique=n_unique)
-
-
-class MRCTCodec:
-    """Conflict table: per-reference lists of bit-vector bigints."""
-
-    stage = "mrct"
-    version = 1
-
-    def encode(self, mrct: MRCT) -> bytes:
-        parts: List[bytes] = [struct.pack("<I", mrct.n_unique)]
-        parts.extend(_encode_bigints(sets) for sets in mrct.sets)
-        return b"".join(parts)
-
-    def decode(self, payload: bytes, context: Optional[Trace] = None) -> MRCT:
-        reader = _Reader(payload)
-        (n_unique,) = reader.unpack("<I")
-        sets = [_decode_bigints(reader) for _ in range(n_unique)]
-        reader.expect_end()
-        return MRCT(sets=sets, n_unique=n_unique)
-
-
 class HistogramsCodec:
     """Per-level conflict histograms: ``{level: {distance: count}}``.
 
@@ -287,9 +151,7 @@ class HistogramsCodec:
                 parts.append(struct.pack("<IQ", distance, counts[distance]))
         return b"".join(parts)
 
-    def decode(
-        self, payload: bytes, context: Optional[Trace] = None
-    ) -> Dict[int, LevelHistogram]:
+    def decode(self, payload: bytes) -> Dict[int, LevelHistogram]:
         reader = _Reader(payload)
         (n_levels,) = reader.unpack("<I")
         histograms: Dict[int, LevelHistogram] = {}
@@ -302,83 +164,6 @@ class HistogramsCodec:
             histograms[level] = LevelHistogram(level=level, counts=counts)
         reader.expect_end()
         return histograms
-
-
-def _le_array_view(reader: _Reader, dtype: str, count: int):
-    """The next ``count`` little-endian items as a read-only array view.
-
-    Zero-copy on little-endian hosts: a ``np.frombuffer`` view over the
-    payload (which may itself be a view over a mapped entry file).  Only
-    big-endian hosts pay a byteswap copy.  The view is marked read-only
-    either way — decoded artifacts are shared through the store's memory
-    tier, so nothing downstream may scribble on them.
-    """
-    import numpy as np
-
-    itemsize = np.dtype(dtype).itemsize
-    values = np.frombuffer(reader.view(itemsize * count), dtype=dtype)
-    if sys.byteorder != "little":  # pragma: no cover - big-endian hosts
-        values = values.astype(values.dtype.newbyteorder("="))
-    values.flags.writeable = False
-    return values
-
-
-class PackedMRCTCodec:
-    """Packed conflict bit-matrix (:class:`repro.core.prelude_fast.PackedMRCT`).
-
-    Fixed-width little-endian arrays — identifiers, weights, then the
-    uint64 matrix — so encode is a single buffer copy and decode is
-    *zero*-copy: the arrays are read-only ``np.frombuffer`` views over
-    the payload (only byte-swapping big-endian hosts copy).  With the
-    store's mmap read path the views point straight into the mapped
-    entry file, so a warm hit never materializes a second copy of the
-    matrix.  Requires NumPy to decode; the store only consults this
-    stage from the fused path, which is NumPy-gated.
-    """
-
-    stage = "packed-mrct"
-    version = 1
-
-    #: Decoded values are views over the payload — the store's mmap read
-    #: path keys off this to map the entry file instead of reading it.
-    zero_copy = True
-
-    def encode(self, packed) -> bytes:
-        import numpy as np
-
-        rows, words = packed.matrix.shape
-        return b"".join(
-            (
-                struct.pack("<IIQ", packed.n_unique, words, rows),
-                np.ascontiguousarray(packed.idents, dtype="<i8").tobytes(),
-                np.ascontiguousarray(packed.weights, dtype="<i8").tobytes(),
-                np.ascontiguousarray(packed.matrix, dtype="<u8").tobytes(),
-            )
-        )
-
-    def decode(self, payload, context: Optional[Trace] = None):
-        from repro.core.prelude_fast import PackedMRCT
-
-        reader = _Reader(payload)
-        n_unique, words, rows = reader.unpack("<IIQ")
-        if words != (n_unique + 63) // 64:
-            raise CorruptArtifact(
-                f"packed matrix is {words} words wide, "
-                f"{n_unique} unique references need {(n_unique + 63) // 64}"
-            )
-        idents = _le_array_view(reader, "<i8", rows)
-        weights = _le_array_view(reader, "<i8", rows)
-        matrix = _le_array_view(reader, "<u8", rows * words).reshape(rows, words)
-        reader.expect_end()
-        if rows and (
-            (idents < 0).any() or (idents >= max(n_unique, 1)).any()
-        ):
-            raise CorruptArtifact("packed row identifier out of range")
-        if rows and (weights <= 0).any():
-            raise CorruptArtifact("packed row weight must be positive")
-        return PackedMRCT(
-            matrix=matrix, idents=idents, weights=weights, n_unique=n_unique
-        )
 
 
 class StreamCheckpointCodec:
@@ -424,9 +209,7 @@ class StreamCheckpointCodec:
                 parts.append(struct.pack("<IQ", distance, level_counts[distance]))
         return b"".join(parts)
 
-    def decode(
-        self, payload: bytes, context: Optional[Trace] = None
-    ) -> Dict[str, object]:
+    def decode(self, payload: bytes) -> Dict[str, object]:
         reader = _Reader(payload)
         (
             address_bits,
@@ -506,7 +289,7 @@ class PolicyMissesCodec:
             parts.append(struct.pack("<IQ", assoc, counts[assoc]))
         return b"".join(parts)
 
-    def decode(self, payload: bytes, context: Optional[Trace] = None):
+    def decode(self, payload: bytes):
         from repro.core.fifo import PolicyMissTable
 
         reader = _Reader(payload)
@@ -532,23 +315,15 @@ class PolicyMissesCodec:
         )
 
 
-#: Shared codec instances, one per pipeline stage.
-STRIPPED_CODEC = StrippedTraceCodec()
-ZEROSETS_CODEC = ZeroOneSetsCodec()
-MRCT_CODEC = MRCTCodec()
+#: Shared codec instances, one per stored stage.
 HISTOGRAMS_CODEC = HistogramsCodec()
-PACKED_MRCT_CODEC = PackedMRCTCodec()
 STREAM_CHECKPOINT_CODEC = StreamCheckpointCodec()
 POLICY_MISSES_CODEC = PolicyMissesCodec()
 
-#: All stage codecs by stage name (CLI stats iterate this).
+#: Every stored stage's codec, by stage name.
 STAGE_CODECS = {
     codec.stage: codec
     for codec in (
-        STRIPPED_CODEC,
-        ZEROSETS_CODEC,
-        MRCT_CODEC,
-        PACKED_MRCT_CODEC,
         HISTOGRAMS_CODEC,
         STREAM_CHECKPOINT_CODEC,
         POLICY_MISSES_CODEC,

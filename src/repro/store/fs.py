@@ -39,12 +39,11 @@ manifests show cache effectiveness alongside the timings.
 
 from __future__ import annotations
 
-import mmap as _mmap
 import os
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -100,7 +99,6 @@ class StoreStats:
 
     hits: int = 0
     memory_hits: int = 0
-    mmap_hits: int = 0
     misses: int = 0
     puts: int = 0
     evictions: int = 0
@@ -113,7 +111,6 @@ class StoreStats:
         return {
             "hits": self.hits,
             "memory_hits": self.memory_hits,
-            "mmap_hits": self.mmap_hits,
             "misses": self.misses,
             "puts": self.puts,
             "evictions": self.evictions,
@@ -142,16 +139,6 @@ class ArtifactStore:
         max_bytes: filesystem-tier size cap; ``None`` disables eviction.
         memory_entries: memory-tier capacity (0 disables the tier —
             useful for measuring true disk warm-start costs).
-        mmap_reads: the memory-mapped read path.  ``"auto"`` (default)
-            maps entry files for codecs that declare ``zero_copy`` —
-            their decode then returns read-only array views straight
-            over the mapping, so a warm hit allocates nothing
-            artifact-sized; ``"always"`` maps every read;
-            ``"never"`` always reads entry bytes into memory.
-            ``True``/``False`` are accepted as ``"always"``/``"never"``.
-            The mapping lives exactly as long as the views built on it
-            (NumPy refcounting); eviction of a mapped entry is safe —
-            POSIX keeps mapped pages valid after unlink.
 
     A store object is cheap; its identity does not matter, only its
     root does.  Separate processes pointing at the same root share one
@@ -164,25 +151,15 @@ class ArtifactStore:
         root,
         max_bytes: Optional[int] = DEFAULT_MAX_BYTES,
         memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-        mmap_reads="auto",
     ) -> None:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be non-negative or None")
         if memory_entries < 0:
             raise ValueError("memory_entries must be non-negative")
-        if mmap_reads is True:
-            mmap_reads = "always"
-        elif mmap_reads is False:
-            mmap_reads = "never"
-        if mmap_reads not in ("auto", "always", "never"):
-            raise ValueError(
-                "mmap_reads must be 'auto', 'always', 'never' or a bool"
-            )
         self.root = Path(root)
         self._root_name = os.path.abspath(self.root)
         self.max_bytes = max_bytes
         self.memory_entries = memory_entries
-        self.mmap_reads = mmap_reads
         self.stats = StoreStats()
         self._memory: "OrderedDict[str, object]" = OrderedDict()
 
@@ -212,31 +189,6 @@ class ArtifactStore:
 
     # -- core operations --------------------------------------------------------
 
-    def _mmap_wanted(self, codec) -> bool:
-        if self.mmap_reads == "never":
-            return False
-        if self.mmap_reads == "always":
-            return True
-        return bool(getattr(codec, "zero_copy", False))
-
-    @staticmethod
-    def _map_entry(path: Path):
-        """Memory-map an entry file, or ``None`` if it cannot be mapped.
-
-        Returns a read-only memoryview over the whole file.  The view
-        (and any array built on top of it) keeps the underlying mapping
-        alive; the file descriptor is closed before returning — POSIX
-        mappings outlive their descriptor.  Empty files raise
-        ``ValueError`` from ``mmap`` and fall back to the byte path,
-        which classifies them as corrupt.
-        """
-        try:
-            with open(path, "rb") as handle:
-                mapping = _mmap.mmap(handle.fileno(), 0, access=_mmap.ACCESS_READ)
-        except (FileNotFoundError, OSError, ValueError):
-            return None
-        return memoryview(mapping)
-
     def contains(self, key: ArtifactKey) -> bool:
         """Whether an entry for ``key`` is present, in memory or on disk.
 
@@ -245,17 +197,11 @@ class ArtifactStore:
         """
         return key.digest in self._memory or self._entry_path(key).is_file()
 
-    def get(self, key: ArtifactKey, codec, context=None, recorder=NULL_RECORDER):
+    def get(self, key: ArtifactKey, codec, recorder=NULL_RECORDER):
         """Fetch and decode the artifact for ``key``, or ``None`` on miss.
 
         A corrupt entry (truncation, bit flip, undecodable payload) is
-        quarantined and reported as a miss.  ``context`` is forwarded to
-        the codec's ``decode`` (the stripped-trace codec needs the raw
-        trace).
-
-        For zero-copy codecs (``mmap_reads="auto"``) the entry file is
-        memory-mapped and decode sees a memoryview, so the warm path
-        performs no artifact-sized allocation or copy.
+        quarantined and reported as a miss.
         """
         digest = key.digest
         cached = self._memory_get(digest)
@@ -265,34 +211,25 @@ class ArtifactStore:
             recorder.count("store_hits")
             return cached
         path = self._entry_path(key)
-        source = None
-        mapped = False
-        if self._mmap_wanted(codec):
-            source = self._map_entry(path)
-            mapped = source is not None
-        if source is None:
-            try:
-                source = path.read_bytes()
-            except (FileNotFoundError, OSError):
-                self.stats.misses += 1
-                recorder.count("store_misses")
-                return None
         try:
-            payload = unpack_entry(source, codec.version)
-            value = codec.decode(payload, context=context)
+            blob = path.read_bytes()
+        except (FileNotFoundError, OSError):
+            self.stats.misses += 1
+            recorder.count("store_misses")
+            return None
+        try:
+            payload = unpack_entry(blob, codec.version)
+            value = codec.decode(payload)
         except (CorruptArtifact, ValueError, OverflowError) as exc:
-            self._quarantine(path, exc, corrupt_blob=bytes(source))
+            self._quarantine(path, exc, corrupt_blob=blob)
             self.stats.misses += 1
             recorder.count("store_misses")
             return None
         self._touch(path)
         self.stats.hits += 1
-        self.stats.bytes_read += len(source)
-        if mapped:
-            self.stats.mmap_hits += 1
-            recorder.count("store_mmap_hits")
+        self.stats.bytes_read += len(blob)
         recorder.count("store_hits")
-        recorder.count("store_bytes_read", len(source))
+        recorder.count("store_bytes_read", len(blob))
         self._memory_put(digest, value)
         return value
 

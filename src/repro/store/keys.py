@@ -2,7 +2,7 @@
 
 Every cacheable artifact is identified by four coordinates: the digest
 of the trace it was derived from, the pipeline *stage* that produced it
-(``stripped``, ``zerosets``, ``mrct``, ``histograms``), the stage's
+(``histograms``, ``policy-misses``, ``stream-checkpoint``), the stage's
 parameters (e.g. the histogram ``max_level``), and the stage codec's
 schema version.  Two runs that agree on all four are guaranteed to
 produce bit-identical artifacts — the engines are differentially tested

@@ -30,6 +30,7 @@ _KIND_VALUE = attrgetter("_value_")
 #: From this length one NumPy ``min``/``max`` pass beats Python's (about
 #: 5.5 vs 10 us at 128 refs, 6 vs 39 us at 512; a NumPy pass costs about
 #: 5 us at any short length), and a shorter trace never imports NumPy.
+#: ``_shifted`` uses the same cut-off.
 _NUMPY_RANGE_MIN_REFS = 128
 
 
@@ -51,6 +52,21 @@ def _address_range(addrs: array) -> Tuple[int, int]:
     if not len(addrs):
         return 0, 0
     return min(addrs), max(addrs)
+
+
+def _shifted(addrs: array, shift: int) -> array:
+    """``addr >> shift`` for every packed address."""
+    if len(addrs) >= _NUMPY_RANGE_MIN_REFS:
+        try:
+            import numpy as np
+        except ImportError:
+            pass
+        else:
+            shifted = array("q", addrs)
+            view = np.frombuffer(shifted, dtype=np.int64)
+            view >>= shift  # in place, through the array's buffer
+            return shifted
+    return array("q", [addr >> shift for addr in addrs])
 
 
 def _kind_labels(kinds: Union[KindLabels, Sequence[AccessKind]]) -> bytes:
@@ -309,7 +325,7 @@ class Trace:
         shift = line_words.bit_length() - 1
         bits = max(1, self._address_bits - shift)
         return Trace(
-            (addr >> shift for addr in self._addresses),
+            _shifted(self._addresses, shift),
             address_bits=bits,
             kinds=self._kind_labels,
             name=f"{self.name}/L{line_words}" if self.name else "",

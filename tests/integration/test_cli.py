@@ -376,13 +376,14 @@ class TestCache:
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
-        assert "entries: 4" in out
-        for stage in ("histograms", "mrct", "stripped", "zerosets"):
-            assert stage in out
+        assert "entries: 1" in out
+        assert "histograms" in out
+        for stage in ("mrct", "stripped", "zerosets", "packed-mrct"):
+            assert stage not in out
         assert main(
             ["cache", "prune", "--cache-dir", cache_dir, "--max-bytes", "1"]
         ) == 0
-        assert "evicted 4" in capsys.readouterr().out
+        assert "evicted 1" in capsys.readouterr().out
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
         assert "removed 0 entries" in capsys.readouterr().out
 
@@ -396,7 +397,8 @@ class TestCache:
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", cache_dir, "--json"]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["entries"] == 4
+        assert summary["entries"] == 1
+        assert list(summary["by_stage"]) == ["histograms"]
         assert summary["root"] == cache_dir
 
     def test_env_var_enables_and_no_cache_disables(

@@ -1,5 +1,9 @@
 """Property-based tests of the trace substrate."""
 
+import sys
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.trace.io import read_trace, write_trace
@@ -67,3 +71,36 @@ def test_concat_of_slices_is_identity(addrs, split):
     rebuilt = trace[:split].concat(trace[split:])
     assert list(rebuilt) == addrs
     assert rebuilt.address_bits == 10
+
+
+@st.composite
+def _wide_traces(draw):
+    """Traces of any width up to 63 bits, long enough to take the
+    NumPy path, with or without access kinds."""
+    bits = draw(st.integers(1, 63))
+    addrs = draw(
+        st.lists(st.integers(0, (1 << bits) - 1), min_size=0, max_size=300)
+    )
+    kinds = draw(
+        st.none()
+        | st.lists(
+            st.sampled_from(list(AccessKind)),
+            min_size=len(addrs),
+            max_size=len(addrs),
+        )
+    )
+    return Trace(addrs, address_bits=bits, kinds=kinds, name="t")
+
+
+@pytest.mark.parametrize("numpy_blocked", [False, True])
+@given(trace=_wide_traces(), line_log=st.integers(0, 6))
+@settings(max_examples=120, deadline=None)
+def test_line_trace_is_the_per_element_shift(trace, line_log, numpy_blocked):
+    line_words = 1 << line_log
+    blocked = {"numpy": None} if numpy_blocked else {}
+    with mock.patch.dict(sys.modules, blocked):
+        line = trace.to_line_trace(line_words)
+    assert list(line) == [addr >> line_log for addr in trace]
+    assert line.address_bits == max(1, trace.address_bits - line_log)
+    assert line.kinds == trace.kinds
+    assert line.name == f"t/L{line_words}"

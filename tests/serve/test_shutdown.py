@@ -88,6 +88,26 @@ class TestDrain:
         finally:
             sock.close()
 
+    def test_idle_kept_alive_connection_does_not_hold_the_drain(
+        self, live_server
+    ) -> None:
+        import http.client
+
+        server = live_server()
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        try:
+            conn.request("GET", "/metrics")
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()  # the connection stays open, waiting
+            start = time.monotonic()
+            future = server.begin_shutdown(drain=True, timeout=None)
+            future.result(timeout=5)
+            assert time.monotonic() - start < 5
+            server.finish_shutdown()
+        finally:
+            conn.close()
+
     def test_draining_gauge_flips(self, live_server) -> None:
         server = live_server()
         assert server.client().metrics()["serve_draining"] == 0

@@ -2,20 +2,14 @@
 
 import pytest
 
-from repro.core.mrct import build_mrct
-from repro.core.postlude import compute_level_histograms
-from repro.core.zerosets import build_zero_one_sets
+from repro.core.engines import EngineInputs, compute_histograms
 from repro.store import (
     CorruptArtifact,
     HISTOGRAMS_CODEC,
-    MRCT_CODEC,
     STAGE_CODECS,
-    STRIPPED_CODEC,
-    ZEROSETS_CODEC,
     pack_entry,
     unpack_entry,
 )
-from repro.trace.strip import strip_trace
 from repro.trace.synthetic import zipf_trace
 from repro.trace.trace import Trace
 from tests.conftest import PAPER_TRACE_BITS
@@ -25,17 +19,13 @@ from tests.conftest import PAPER_TRACE_BITS
     scope="module",
     params=["paper", "zipf"],
 )
-def pipeline(request):
-    """A trace and every pipeline product derived from it."""
+def histograms(request):
+    """The per-level histograms of a trace."""
     if request.param == "paper":
         trace = Trace.from_bit_strings(PAPER_TRACE_BITS, name="paper-table-1")
     else:
         trace = zipf_trace(800, 60, seed=11)
-    stripped = strip_trace(trace)
-    zerosets = build_zero_one_sets(stripped)
-    mrct = build_mrct(stripped)
-    histograms = compute_level_histograms(zerosets, mrct)
-    return trace, stripped, zerosets, mrct, histograms
+    return compute_histograms("serial", EngineInputs(trace, prelude="python"))
 
 
 class TestContainer:
@@ -70,69 +60,27 @@ class TestContainer:
 
 
 class TestStageCodecs:
-    def test_stripped_round_trip(self, pipeline):
-        trace, stripped, *_ = pipeline
-        payload = STRIPPED_CODEC.encode(stripped)
-        decoded = STRIPPED_CODEC.decode(payload, context=trace)
-        assert decoded.unique_addresses == stripped.unique_addresses
-        assert list(decoded.id_sequence) == list(stripped.id_sequence)
-        assert decoded.id_of == stripped.id_of
-        assert decoded.address_bits == stripped.address_bits
-        assert decoded.n == stripped.n
-        assert decoded.trace is trace
-
-    def test_stripped_needs_context(self, pipeline):
-        _, stripped, *_ = pipeline
-        with pytest.raises(ValueError, match="raw trace"):
-            STRIPPED_CODEC.decode(STRIPPED_CODEC.encode(stripped))
-
-    def test_stripped_rejects_wrong_trace(self, pipeline):
-        trace, stripped, *_ = pipeline
-        other = Trace(
-            list(trace.addresses) + [0], address_bits=trace.address_bits
-        )
-        with pytest.raises(CorruptArtifact, match="references"):
-            STRIPPED_CODEC.decode(STRIPPED_CODEC.encode(stripped), context=other)
-
-    def test_zerosets_round_trip(self, pipeline):
-        *_, zerosets, _, _ = pipeline
-        decoded = ZEROSETS_CODEC.decode(ZEROSETS_CODEC.encode(zerosets))
-        assert decoded == zerosets
-
-    def test_mrct_round_trip(self, pipeline):
-        *_, mrct, _ = pipeline
-        decoded = MRCT_CODEC.decode(MRCT_CODEC.encode(mrct))
-        assert decoded.n_unique == mrct.n_unique
-        assert decoded.sets == mrct.sets
-
-    def test_histograms_round_trip(self, pipeline):
-        *_, histograms = pipeline
+    def test_histograms_round_trip(self, histograms):
         decoded = HISTOGRAMS_CODEC.decode(HISTOGRAMS_CODEC.encode(histograms))
         assert sorted(decoded) == sorted(histograms)
         for level, histogram in histograms.items():
             assert decoded[level].level == histogram.level
             assert decoded[level].counts == histogram.counts
 
-    def test_truncated_stage_payload_is_corrupt(self, pipeline):
-        *_, mrct, _ = pipeline
-        payload = MRCT_CODEC.encode(mrct)
+    def test_truncated_stage_payload_is_corrupt(self, histograms):
+        payload = HISTOGRAMS_CODEC.encode(histograms)
         with pytest.raises(CorruptArtifact):
-            MRCT_CODEC.decode(payload[: len(payload) // 2])
+            HISTOGRAMS_CODEC.decode(payload[: len(payload) // 2])
 
-    def test_trailing_garbage_is_corrupt(self, pipeline):
-        *_, zerosets, _, _ = pipeline
+    def test_trailing_garbage_is_corrupt(self, histograms):
         with pytest.raises(CorruptArtifact, match="trailing"):
-            ZEROSETS_CODEC.decode(ZEROSETS_CODEC.encode(zerosets) + b"\x00")
+            HISTOGRAMS_CODEC.decode(HISTOGRAMS_CODEC.encode(histograms) + b"\x00")
 
     def test_registry_covers_every_stage(self):
         assert sorted(STAGE_CODECS) == [
             "histograms",
-            "mrct",
-            "packed-mrct",
             "policy-misses",
             "stream-checkpoint",
-            "stripped",
-            "zerosets",
         ]
         for stage, codec in STAGE_CODECS.items():
             assert codec.stage == stage

@@ -16,15 +16,14 @@ import time
 import pytest
 
 import repro.store.fs as fs_module
-from repro.core.mrct import build_mrct
+from repro.core.engines import EngineInputs, compute_histograms
 from repro.store import (
     ArtifactKey,
     ArtifactStore,
-    MRCT_CODEC,
+    HISTOGRAMS_CODEC,
     QUARANTINE_DIR,
     trace_digest,
 )
-from repro.trace.strip import strip_trace
 from repro.trace.synthetic import zipf_trace
 
 
@@ -32,9 +31,12 @@ def _entry(seed: int = 5):
     trace = zipf_trace(400, 40, seed=seed)
     trace.name = f"conc-{seed}"
     key = ArtifactKey.for_stage(
-        trace_digest(trace), MRCT_CODEC.stage, MRCT_CODEC.version
+        trace_digest(trace),
+        HISTOGRAMS_CODEC.stage,
+        HISTOGRAMS_CODEC.version,
+        max_level="full",
     )
-    return key, build_mrct(strip_trace(trace))
+    return key, compute_histograms("serial", EngineInputs(trace))
 
 
 def _quarantine_count(root) -> int:
@@ -48,11 +50,11 @@ class TestQuarantineRace:
     def test_truly_corrupt_entry_still_quarantined(self, tmp_path) -> None:
         root = tmp_path / "s"
         store = ArtifactStore(root, memory_entries=0)
-        key, mrct = _entry()
-        store.put(key, MRCT_CODEC, mrct)
+        key, histograms = _entry()
+        store.put(key, HISTOGRAMS_CODEC, histograms)
         path = store._entry_path(key)
         path.write_bytes(b"\x00garbage\x00")
-        assert store.get(key, MRCT_CODEC) is None
+        assert store.get(key, HISTOGRAMS_CODEC) is None
         assert store.stats.corrupt == 1
         assert not path.exists()
         assert _quarantine_count(root) == 1
@@ -63,8 +65,8 @@ class TestQuarantineRace:
         """A put landing between corrupt-read and quarantine must win."""
         root = tmp_path / "s"
         writer = ArtifactStore(root, memory_entries=0)
-        key, mrct = _entry()
-        writer.put(key, MRCT_CODEC, mrct)
+        key, histograms = _entry()
+        writer.put(key, HISTOGRAMS_CODEC, histograms)
         path = writer._entry_path(key)
         good_blob = path.read_bytes()
         path.write_bytes(b"\x00torn-write\x00")
@@ -82,7 +84,7 @@ class TestQuarantineRace:
 
         monkeypatch.setattr(fs_module, "unpack_entry", racing_unpack)
         reader = ArtifactStore(root, memory_entries=0)
-        assert reader.get(key, MRCT_CODEC) is None  # the read *was* corrupt
+        assert reader.get(key, HISTOGRAMS_CODEC) is None  # the read *was* corrupt
         monkeypatch.setattr(fs_module, "unpack_entry", real_unpack)
 
         # the fresh entry was not quarantined: still readable, no corruption
@@ -90,16 +92,16 @@ class TestQuarantineRace:
         assert _quarantine_count(root) == 0
         assert path.exists()
         fresh = ArtifactStore(root, memory_entries=0)
-        got = fresh.get(key, MRCT_CODEC)
+        got = fresh.get(key, HISTOGRAMS_CODEC)
         assert got is not None
-        assert got.sets == mrct.sets
+        assert got == histograms
 
     def test_quarantine_compares_moved_bytes(self, tmp_path) -> None:
         """Unit-level: _quarantine keeps an entry whose bytes changed."""
         root = tmp_path / "s"
         store = ArtifactStore(root, memory_entries=0)
-        key, mrct = _entry()
-        store.put(key, MRCT_CODEC, mrct)
+        key, histograms = _entry()
+        store.put(key, HISTOGRAMS_CODEC, histograms)
         path = store._entry_path(key)
         fresh_blob = path.read_bytes()
 
@@ -123,7 +125,7 @@ class TestEvictionHammer:
         """Two clients on the same digest + an LRU evictor: misses are
         fine, corruption/quarantine never happens, nothing crashes."""
         root = tmp_path / "s"
-        key, mrct = _entry()
+        key, histograms = _entry()
         stop = threading.Event()
         errors = []
         reads = {"hits": 0, "misses": 0}
@@ -135,15 +137,15 @@ class TestEvictionHammer:
             client_stores.append(store)
             try:
                 while not stop.is_set():
-                    value = store.get(key, MRCT_CODEC)
+                    value = store.get(key, HISTOGRAMS_CODEC)
                     if value is None:
                         with lock:
                             reads["misses"] += 1
-                        store.put(key, MRCT_CODEC, mrct)
+                        store.put(key, HISTOGRAMS_CODEC, histograms)
                     else:
                         with lock:
                             reads["hits"] += 1
-                        if value.sets != mrct.sets:
+                        if value != histograms:
                             raise AssertionError("decoded artifact mutated")
             except Exception as exc:  # pragma: no cover - failure detail
                 errors.append(exc)

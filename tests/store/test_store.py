@@ -4,19 +4,18 @@ import multiprocessing
 
 import pytest
 
+from repro.core.engines import EngineInputs, compute_histograms
 from repro.core.explorer import AnalyticalCacheExplorer
-from repro.core.mrct import build_mrct
 from repro.obs import Recorder
 from repro.store import (
     ArtifactKey,
     ArtifactStore,
-    MRCT_CODEC,
+    HISTOGRAMS_CODEC,
     QUARANTINE_DIR,
     default_cache_dir,
     trace_digest,
 )
 from repro.store.codec import pack_entry
-from repro.trace.strip import strip_trace
 from repro.trace.synthetic import zipf_trace
 
 
@@ -26,70 +25,73 @@ def _make_trace(seed=21):
     return trace
 
 
-def _mrct_entry(trace):
-    """A real (key, codec, value) triple for store exercises."""
-    mrct = build_mrct(strip_trace(trace))
+def _histograms_entry(trace):
+    """A real (key, value) pair for store exercises."""
+    histograms = compute_histograms("serial", EngineInputs(trace))
     key = ArtifactKey.for_stage(
-        trace_digest(trace), MRCT_CODEC.stage, MRCT_CODEC.version
+        trace_digest(trace),
+        HISTOGRAMS_CODEC.stage,
+        HISTOGRAMS_CODEC.version,
+        max_level="full",
     )
-    return key, mrct
+    return key, histograms
 
 
 class TestTiers:
     def test_miss_then_hit(self, tmp_path):
         store = ArtifactStore(tmp_path / "s")
         trace = _make_trace()
-        key, mrct = _mrct_entry(trace)
-        assert store.get(key, MRCT_CODEC) is None
-        store.put(key, MRCT_CODEC, mrct)
-        got = store.get(key, MRCT_CODEC)
-        assert got.sets == mrct.sets
+        key, histograms = _histograms_entry(trace)
+        assert store.get(key, HISTOGRAMS_CODEC) is None
+        store.put(key, HISTOGRAMS_CODEC, histograms)
+        got = store.get(key, HISTOGRAMS_CODEC)
+        assert got == histograms
         assert store.stats.misses == 1
         assert store.stats.hits == 1
         assert store.stats.puts == 1
 
     def test_contains_checks_presence_without_counting(self, tmp_path):
         store = ArtifactStore(tmp_path / "s")
-        key, mrct = _mrct_entry(_make_trace())
+        key, histograms = _histograms_entry(_make_trace())
         assert not store.contains(key)
-        store.put(key, MRCT_CODEC, mrct)
+        store.put(key, HISTOGRAMS_CODEC, histograms)
         assert store.contains(key)
         assert ArtifactStore(tmp_path / "s").contains(key)  # on disk
         assert store.stats.hits == store.stats.misses == 0
 
     def test_memory_tier_skips_disk(self, tmp_path):
         store = ArtifactStore(tmp_path / "s")
-        key, mrct = _mrct_entry(_make_trace())
-        store.put(key, MRCT_CODEC, mrct)
-        first = store.get(key, MRCT_CODEC)
-        assert first is store.get(key, MRCT_CODEC)  # decoded object reused
+        key, histograms = _histograms_entry(_make_trace())
+        store.put(key, HISTOGRAMS_CODEC, histograms)
+        first = store.get(key, HISTOGRAMS_CODEC)
+        assert first is store.get(key, HISTOGRAMS_CODEC)  # decoded object reused
         assert store.stats.memory_hits >= 2  # put seeds the memory tier
 
     def test_fresh_instance_reads_from_disk(self, tmp_path):
         trace = _make_trace()
-        key, mrct = _mrct_entry(trace)
-        ArtifactStore(tmp_path / "s").put(key, MRCT_CODEC, mrct)
+        key, histograms = _histograms_entry(trace)
+        ArtifactStore(tmp_path / "s").put(key, HISTOGRAMS_CODEC, histograms)
         cold = ArtifactStore(tmp_path / "s")
-        got = cold.get(key, MRCT_CODEC)
-        assert got.sets == mrct.sets
+        got = cold.get(key, HISTOGRAMS_CODEC)
+        assert got == histograms
         assert cold.stats.memory_hits == 0
         assert cold.stats.bytes_read > 0
 
     def test_memory_tier_can_be_disabled(self, tmp_path):
         store = ArtifactStore(tmp_path / "s", memory_entries=0)
-        key, mrct = _mrct_entry(_make_trace())
-        store.put(key, MRCT_CODEC, mrct)
-        store.get(key, MRCT_CODEC)
+        key, histograms = _histograms_entry(_make_trace())
+        store.put(key, HISTOGRAMS_CODEC, histograms)
+        store.get(key, HISTOGRAMS_CODEC)
         assert store.stats.memory_hits == 0
 
     def test_recorder_counters_flow(self, tmp_path):
         store = ArtifactStore(tmp_path / "s")
         recorder = Recorder()
-        key, mrct = _mrct_entry(_make_trace())
-        store.get(key, MRCT_CODEC, recorder=recorder)
-        store.put(key, MRCT_CODEC, mrct, recorder=recorder)
+        key, histograms = _histograms_entry(_make_trace())
+        store.get(key, HISTOGRAMS_CODEC, recorder=recorder)
+        store.put(key, HISTOGRAMS_CODEC, histograms, recorder=recorder)
         fresh = ArtifactStore(tmp_path / "s")
-        fresh.get(key, MRCT_CODEC, recorder=recorder)
+        fresh.get(key, HISTOGRAMS_CODEC, recorder=recorder)
         assert recorder.counters["store_misses"] == 1
         assert recorder.counters["store_hits"] == 1
         assert recorder.counters["store_bytes_written"] > 0
@@ -101,14 +103,14 @@ class TestEviction:
         store = ArtifactStore(tmp_path / "s", max_bytes=None)
         entries = []
         for seed in (1, 2, 3):
-            key, mrct = _mrct_entry(_make_trace(seed))
-            store.put(key, MRCT_CODEC, mrct)
+            key, histograms = _histograms_entry(_make_trace(seed))
+            store.put(key, HISTOGRAMS_CODEC, histograms)
             entries.append(key)
         total = store.total_bytes()
         assert total > 0
         # Touch the first entry so it becomes most-recently-used on disk.
         fresh = ArtifactStore(tmp_path / "s")
-        fresh.get(entries[0], MRCT_CODEC)
+        fresh.get(entries[0], HISTOGRAMS_CODEC)
         evicted = fresh.prune(max_bytes=total // 2)
         assert evicted >= 1
         assert fresh.total_bytes() <= total // 2
@@ -118,25 +120,25 @@ class TestEviction:
         assert entries[0].digest in survivors
 
     def test_put_auto_prunes_to_cap(self, tmp_path):
-        key1, mrct1 = _mrct_entry(_make_trace(1))
+        key1, histograms1 = _histograms_entry(_make_trace(1))
         probe = ArtifactStore(tmp_path / "probe", max_bytes=None)
-        probe.put(key1, MRCT_CODEC, mrct1)
+        probe.put(key1, HISTOGRAMS_CODEC, histograms1)
         size = probe.total_bytes()
         store = ArtifactStore(tmp_path / "s", max_bytes=int(size * 1.5))
-        store.put(key1, MRCT_CODEC, mrct1)
-        key2, mrct2 = _mrct_entry(_make_trace(2))
-        store.put(key2, MRCT_CODEC, mrct2)
+        store.put(key1, HISTOGRAMS_CODEC, histograms1)
+        key2, histograms2 = _histograms_entry(_make_trace(2))
+        store.put(key2, HISTOGRAMS_CODEC, histograms2)
         assert store.total_bytes() <= int(size * 1.5)
         assert store.stats.evictions >= 1
 
     def test_clear_removes_everything(self, tmp_path):
         store = ArtifactStore(tmp_path / "s")
-        key, mrct = _mrct_entry(_make_trace())
-        store.put(key, MRCT_CODEC, mrct)
+        key, histograms = _histograms_entry(_make_trace())
+        store.put(key, HISTOGRAMS_CODEC, histograms)
         assert store.clear() == 1
         assert store.entries() == []
         fresh = ArtifactStore(tmp_path / "s")
-        assert fresh.get(key, MRCT_CODEC) is None
+        assert fresh.get(key, HISTOGRAMS_CODEC) is None
 
 
 class TestCorruption:
@@ -147,12 +149,12 @@ class TestCorruption:
 
     def test_truncated_entry_is_a_quarantined_miss(self, tmp_path):
         store = ArtifactStore(tmp_path / "s")
-        key, mrct = _mrct_entry(_make_trace())
-        store.put(key, MRCT_CODEC, mrct)
+        key, histograms = _histograms_entry(_make_trace())
+        store.put(key, HISTOGRAMS_CODEC, histograms)
         path = self._entry_file(store)
         path.write_bytes(path.read_bytes()[:-7])
         fresh = ArtifactStore(tmp_path / "s")
-        assert fresh.get(key, MRCT_CODEC) is None
+        assert fresh.get(key, HISTOGRAMS_CODEC) is None
         assert fresh.stats.corrupt == 1
         assert fresh.stats.misses == 1
         quarantine = (tmp_path / "s" / QUARANTINE_DIR)
@@ -161,14 +163,14 @@ class TestCorruption:
 
     def test_bitflipped_entry_is_a_quarantined_miss(self, tmp_path):
         store = ArtifactStore(tmp_path / "s")
-        key, mrct = _mrct_entry(_make_trace())
-        store.put(key, MRCT_CODEC, mrct)
+        key, histograms = _histograms_entry(_make_trace())
+        store.put(key, HISTOGRAMS_CODEC, histograms)
         path = self._entry_file(store)
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0x40
         path.write_bytes(bytes(blob))
         fresh = ArtifactStore(tmp_path / "s")
-        assert fresh.get(key, MRCT_CODEC) is None
+        assert fresh.get(key, HISTOGRAMS_CODEC) is None
         assert fresh.stats.corrupt == 1
         assert not path.exists()
 
@@ -176,24 +178,24 @@ class TestCorruption:
         """A corrupt entry degrades to recompute-and-rewrite, not an error."""
         trace = _make_trace()
         store = ArtifactStore(tmp_path / "s")
-        key, mrct = _mrct_entry(trace)
-        store.put(key, MRCT_CODEC, mrct)
+        key, histograms = _histograms_entry(trace)
+        store.put(key, HISTOGRAMS_CODEC, histograms)
         path = self._entry_file(store)
         path.write_bytes(b"RARTgarbage")
         fresh = ArtifactStore(tmp_path / "s")
-        assert fresh.get(key, MRCT_CODEC) is None
-        fresh.put(key, MRCT_CODEC, mrct)
+        assert fresh.get(key, HISTOGRAMS_CODEC) is None
+        fresh.put(key, HISTOGRAMS_CODEC, histograms)
         again = ArtifactStore(tmp_path / "s")
-        assert again.get(key, MRCT_CODEC).sets == mrct.sets
+        assert again.get(key, HISTOGRAMS_CODEC) == histograms
 
 
 def _concurrent_writer(root, seed, results):
     trace = _make_trace(seed)
-    key, mrct = _mrct_entry(trace)
+    key, histograms = _histograms_entry(trace)
     store = ArtifactStore(root)
-    store.put(key, MRCT_CODEC, mrct)
-    got = store.get(key, MRCT_CODEC)
-    results.put((seed, got is not None and got.sets == mrct.sets))
+    store.put(key, HISTOGRAMS_CODEC, histograms)
+    got = store.get(key, HISTOGRAMS_CODEC)
+    results.put((seed, got is not None and got == histograms))
 
 
 class TestConcurrency:
@@ -217,10 +219,10 @@ class TestConcurrency:
         assert all(ok for _, ok in outcomes)
         # Exactly one live entry for the shared key, and it decodes.
         trace = _make_trace(77)
-        key, mrct = _mrct_entry(trace)
+        key, histograms = _histograms_entry(trace)
         reader = ArtifactStore(root)
         assert len(reader.entries()) == 1
-        assert reader.get(key, MRCT_CODEC).sets == mrct.sets
+        assert reader.get(key, HISTOGRAMS_CODEC) == histograms
         assert reader.stats.corrupt == 0
 
 
@@ -228,18 +230,18 @@ def _overfilling_writer(root, seeds):
     """A second writer with no cap of its own."""
     store = ArtifactStore(root, max_bytes=None)
     for seed in seeds:
-        key, mrct = _mrct_entry(_make_trace(seed))
-        store.put(key, MRCT_CODEC, mrct)
+        key, histograms = _histograms_entry(_make_trace(seed))
+        store.put(key, HISTOGRAMS_CODEC, histograms)
 
 
-def _blob_size(mrct):
-    return len(pack_entry(MRCT_CODEC.version, MRCT_CODEC.encode(mrct)))
+def _blob_size(histograms):
+    return len(pack_entry(HISTOGRAMS_CODEC.version, HISTOGRAMS_CODEC.encode(histograms)))
 
 
 class TestLedger:
     def test_puts_under_the_ledger_do_not_list_the_store(self, tmp_path, monkeypatch):
-        key, mrct = _mrct_entry(_make_trace(1))
-        size = _blob_size(mrct)
+        key, histograms = _histograms_entry(_make_trace(1))
+        size = _blob_size(histograms)
         store = ArtifactStore(tmp_path / "s", max_bytes=2 * size + size // 2)
         scans = []
         original = ArtifactStore._scan
@@ -248,27 +250,27 @@ class TestLedger:
             "_scan",
             lambda self: scans.append(1) or original(self),
         )
-        store.put(key, MRCT_CODEC, mrct)  # the first put in this process scans
-        store.put(key, MRCT_CODEC, mrct)  # overwrite: the ledger over-counts
+        store.put(key, HISTOGRAMS_CODEC, histograms)  # the first put in this process scans
+        store.put(key, HISTOGRAMS_CODEC, histograms)  # overwrite: the ledger over-counts
         assert len(scans) == 1
         # prune and clear replace the ledger with what they found, so
         # the next puts fit under the cap without another scan.
         store.prune()
-        store.put(key, MRCT_CODEC, mrct)
+        store.put(key, HISTOGRAMS_CODEC, histograms)
         assert len(scans) == 2
         store.clear()
-        store.put(key, MRCT_CODEC, mrct)
-        store.put(key, MRCT_CODEC, mrct)
+        store.put(key, HISTOGRAMS_CODEC, histograms)
+        store.put(key, HISTOGRAMS_CODEC, histograms)
         assert len(scans) == 3
         assert store.total_bytes() == size
 
     def test_other_writer_overfill_is_pruned_by_next_over_ledger_put(self, tmp_path):
         root = str(tmp_path / "s")
-        own = [_mrct_entry(_make_trace(seed)) for seed in range(101, 105)]
-        sizes = [_blob_size(mrct) for _, mrct in own]
+        own = [_histograms_entry(_make_trace(seed)) for seed in range(101, 105)]
+        sizes = [_blob_size(histograms) for _, histograms in own]
         cap = sizes[0] + sizes[1] + sizes[2] + sizes[3] // 2
         first = ArtifactStore(root, max_bytes=cap)
-        first.put(own[0][0], MRCT_CODEC, own[0][1])
+        first.put(own[0][0], HISTOGRAMS_CODEC, own[0][1])
         writer = multiprocessing.Process(
             target=_overfilling_writer, args=(root, range(201, 209))
         )
@@ -278,12 +280,12 @@ class TestLedger:
         assert first.total_bytes() > cap
         # The ledger does not see the other writer's bytes: puts that
         # keep it under the cap leave the root over the cap.
-        for key, mrct in own[1:3]:
-            first.put(key, MRCT_CODEC, mrct)
+        for key, histograms in own[1:3]:
+            first.put(key, HISTOGRAMS_CODEC, histograms)
             assert first.total_bytes() > cap
         assert first.stats.evictions == 0
         # This put takes the ledger past the cap: it scans and prunes.
-        first.put(own[3][0], MRCT_CODEC, own[3][1])
+        first.put(own[3][0], HISTOGRAMS_CODEC, own[3][1])
         assert first.total_bytes() <= cap
         assert first.stats.evictions > 0
 
@@ -355,11 +357,11 @@ class TestWarmStart:
 
     def test_stats_describe_and_default_dir(self, tmp_path, monkeypatch):
         store = ArtifactStore(tmp_path / "s")
-        key, mrct = _mrct_entry(_make_trace())
-        store.put(key, MRCT_CODEC, mrct)
+        key, histograms = _histograms_entry(_make_trace())
+        store.put(key, HISTOGRAMS_CODEC, histograms)
         summary = store.describe()
         assert summary["entries"] == 1
-        assert summary["by_stage"]["mrct"]["entries"] == 1
+        assert summary["by_stage"]["histograms"]["entries"] == 1
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
         assert default_cache_dir() == str(tmp_path / "env")
         monkeypatch.delenv("REPRO_CACHE_DIR")
