@@ -535,6 +535,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(f"  {stage:<12s} {info['entries']:>6d} entries  {info['bytes']:>10d} bytes")
         if summary["quarantined"]:
             print(f"quarantined: {summary['quarantined']} corrupt entries")
+        if summary["temp_files"]:
+            print(
+                f"temp files: {summary['temp_files']} ({summary['temp_bytes']} bytes)"
+                " left by unfinished puts"
+            )
         return 0
     if args.action == "clear":
         removed = store.clear()

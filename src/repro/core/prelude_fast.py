@@ -1,4 +1,4 @@
-"""Fast MRCT builders: blocked NumPy bit-matrix kernel + Fenwick fallback.
+"""Fast MRCT builders: NumPy range-OR doubling kernel + Fenwick fallback.
 
 :func:`repro.core.mrct.build_mrct` walks a global LRU stack with
 ``list.index``/``insert``/``del``, paying O(depth) Python-object work per
@@ -6,20 +6,19 @@ occurrence — the sum of stack distances, which dominates cold-trace wall
 clock now that the postlude is vectorized.  This module provides three
 exact replacements:
 
-* :func:`build_mrct_fast` — a blocked NumPy kernel.  Conflict sets are
+* :func:`build_mrct_fast` — a NumPy kernel.  Conflict sets are
   materialized directly as rows of a packed ``uint64`` bit matrix.  The
-  key identity: reference ``v`` belongs to occurrence ``i``'s conflict
-  set iff ``v``'s last occurrence before ``i`` lies inside the window
-  ``(prv[i], i)``, where ``prv[i]`` is the queried reference's previous
-  occurrence.  Fixing a block boundary ``M <= i`` with ``prv[i] < M``
-  splits the window into ``(prv[i], M)`` — answered from a snapshot of
-  last-occurrence positions frozen at ``M`` (a suffix of its
-  position-sorted member rows, OR-accumulated once per block) — and
-  ``[M, i)``, answered from an in-block prefix-OR accumulate.  Two block
-  scales plus a small-window tail (``bitwise_or.reduceat`` over segment
-  ranges, or a flattened-window bit scatter when the member matrix would
-  be too wide) make every occurrence O(words) vector work instead of
-  O(depth) object work.
+  key identity: occurrence ``q``'s conflict set is the OR of the
+  membership rows (``1 << ids[p]``) over the positions ``p`` of its
+  window ``(prv[q], q)``, where ``prv[q]`` is the queried reference's
+  previous occurrence — every reference seen in the window conflicts,
+  and the queried one cannot appear there.  A window is a contiguous
+  range of positions and OR is idempotent, so a doubling (sparse) table
+  answers each one with two row reads: ``T_k[x]`` holds the OR over
+  ``[x, x + 2^k)``, and a window of length ``L`` is the OR of the two
+  ``2^floor(log2 L)`` spans flush with its ends.  The table is doubled
+  in place one level at a time, so the whole build is O(N·words·log L)
+  word ORs in one ``(N, words)`` table, at every row width.
 * :func:`build_mrct_fenwick` — pure Python, no NumPy: a Fenwick
   (order-statistic) tree over trace positions yields each occurrence's
   stack distance in O(log N), and an OR segment tree over "current last
@@ -41,7 +40,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from repro.core.mrct import MRCT, build_mrct
 from repro.obs.recorder import NULL_RECORDER
@@ -53,37 +52,21 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI lane
     _np = None
 
 
-#: Block scales for the NumPy kernel.  The coarse pass answers every
-#: occurrence whose window crosses a 1024-boundary; the fine pass runs
-#: only when the remaining windows are still too long for the reduceat
-#: tail's word-op budget.
-_BLOCK_SCALES = (1024, 64)
+#: Bytes of table rows doubled (and window rows gathered) per NumPy
+#: call.  Chunks narrower than the doubling span never overlap their
+#: source, and wider ones cost NumPy one chunk-sized overlap copy, never
+#: a full-table one; a cache-sized chunk keeps both cheap.
+_CHUNK_BYTES = 1 << 20
 
-#: The reduceat tail costs (sum of remaining window lengths) x words
-#: uint64 ORs; below this budget it finishes the kernel in one call.
-_REDUCEAT_OPS_BUDGET = 150_000_000
-
-#: The reduceat tail materializes an (N, words) member matrix; skip it
-#: (scatter tail instead) when that would exceed this many bytes.
-_REDUCEAT_MEM_BUDGET = 256 * 1024 * 1024
-
-#: Maximum total window length the scatter tail may absorb when the
-#: reduceat tail is ruled out by memory; block passes run until the
-#: remaining windows fit.  The scatter tail does O(1) work per window
-#: position regardless of row width, so this is far looser than the
-#: bigint tail budget it replaced.
-_SCATTER_WINDOW_BUDGET = 32_000_000
-
-#: Window positions flattened per scatter chunk; bounds the index
-#: temporaries at a few hundred MB independent of total tail size.
-_SCATTER_CHUNK = 8_000_000
-
-#: Thresholds for preferring the Fenwick builder over ``build_mrct``
-#: when NumPy is unavailable.  ``build_mrct`` costs the sum of stack
-#: distances (bounded by N·N'), the Fenwick builder a flat O(N log N);
-#: small unique-sets keep stacks shallow, so both gates must pass.
-FENWICK_MIN_REFS = 8192
-FENWICK_MIN_UNIQUE = 256
+#: Without NumPy, traces with at least this many unique references take
+#: the Fenwick builder.  ``build_mrct`` costs N x the mean stack depth,
+#: which grows with N'; the Fenwick builder costs N x log N tree steps.
+#: Both scale with N, so the crossover sits at an N'.  Measured (best of
+#: 2, classic vs Fenwick): ``fir.data`` (N'=544) 97 vs 194 ms and
+#: ``ucbqsort.data`` (535) 127 vs 197 ms, but ``qurt.data`` (577) 74 vs
+#: 12 ms and ``blit.data`` (3,169) 627 vs 56 ms; a minimum-N gate on top
+#: chose no better on the PowerStone traces or the synthetic panel.
+FENWICK_MIN_UNIQUE = 560
 
 
 @dataclass(eq=False)
@@ -171,14 +154,17 @@ def _ids_array(stripped: StrippedTrace):
     return _np.asarray(seq, dtype=_np.int64)
 
 
-def _previous_occurrences(ids):
+def _previous_occurrences(ids, n_unique):
     """``prv[i]`` = previous position of ``ids[i]``, or -1 if cold.
 
     A stable argsort groups equal identifiers with positions ascending,
     so each group's predecessor relation is a single shifted compare.
+    Identifiers that fit 16 bits are sorted as ``uint16``, which NumPy's
+    stable sort handles with a radix sort (same permutation, ~5x faster).
     """
     n = ids.shape[0]
-    order = _np.argsort(ids, kind="stable")
+    keys = ids.astype(_np.uint16) if n_unique <= 1 << 16 else ids
+    order = _np.argsort(keys, kind="stable")
     prv = _np.full(n, -1, dtype=_np.int64)
     if n > 1:
         same = ids[order[1:]] == ids[order[:-1]]
@@ -186,149 +172,14 @@ def _previous_occurrences(ids):
     return prv
 
 
-def _block_pass(ids, prv, rows, row_of, queries, scale, n_unique, nwords):
-    """Answer every query whose window crosses a ``scale`` boundary.
-
-    Walks the trace in blocks of ``scale`` positions, maintaining ``L``,
-    the last occurrence of each identifier *strictly before* the current
-    block.  A query at position ``q`` with ``prv[q] < M`` (``M`` the
-    block start) decomposes as::
-
-        row[q] = suffix_or[rank] | prefix_or[q - M]
-
-    where ``suffix_or`` accumulates the member rows of the snapshot
-    idents sorted by ``L`` (idents with ``L > prv[q]`` — the queried
-    reference itself is excluded because its ``L`` *is* ``prv[q]``) and
-    ``prefix_or[t]`` is the OR of the block's first ``t`` member rows
-    (again excluding the queried reference, whose only occurrences in
-    ``[M, q)`` would contradict ``prv[q] < M``).  Returns the queries
-    whose windows stayed inside one block, untouched.
-    """
-    n = ids.shape[0]
-    starts = (queries // scale) * scale
-    handled_mask = prv[queries] < starts
-    handled = queries[handled_mask]
-    pending = queries[~handled_mask]
-    if handled.shape[0] == 0:
-        return pending
-    last = _np.full(n_unique, -1, dtype=_np.int64)
-    n_blocks = (n + scale - 1) // scale
-    bounds = _np.searchsorted(handled // scale, _np.arange(n_blocks + 1))
-    for block in range(n_blocks):
-        begin = block * scale
-        end = min(begin + scale, n)
-        lo, hi = int(bounds[block]), int(bounds[block + 1])
-        if hi > lo:
-            queries_here = handled[lo:hi]
-            # Snapshot: idents seen before this block, sorted by their
-            # last occurrence; suffix ORs answer "everything whose last
-            # occurrence exceeds prv[q]" with one gather.
-            seen = _np.nonzero(last >= 0)[0]
-            order = _np.argsort(last[seen], kind="stable")
-            sorted_last = last[seen][order]
-            sorted_ids = seen[order].astype(_np.uint64)
-            nv = sorted_ids.shape[0]
-            suffix = _np.zeros((nv + 1, nwords), dtype=_np.uint64)
-            if nv:
-                member = _member_rows(sorted_ids, nwords)
-                suffix[:nv] = _np.bitwise_or.accumulate(member[::-1], axis=0)[::-1]
-            # In-block prefix ORs: prefix[t] = distinct ids in [begin, begin+t).
-            block_member = _member_rows(ids[begin:end].astype(_np.uint64), nwords)
-            prefix = _np.zeros((block_member.shape[0] + 1, nwords), dtype=_np.uint64)
-            prefix[1:] = _np.bitwise_or.accumulate(block_member, axis=0)
-            rank = _np.searchsorted(sorted_last, prv[queries_here], side="right")
-            rows[row_of[queries_here]] = suffix[rank] | prefix[queries_here - begin]
-        # Advance the snapshot past this block: last occurrence within
-        # the block via np.unique on the reversed slice (first index in
-        # the reversal is the last occurrence; fancy assignment with
-        # duplicate indices would be undefined).
-        blk_ids = ids[begin:end]
-        uniq, first_rev = _np.unique(blk_ids[::-1], return_index=True)
-        last[uniq] = (end - 1) - first_rev
-    return pending
-
-
-def _member_rows(idents_u64, nwords):
-    """One packed membership row (``1 << ident``) per identifier."""
-    count = idents_u64.shape[0]
+def _member_rows(ids, nwords):
+    """One packed membership row (``1 << ident``) per trace position."""
+    count = ids.shape[0]
     member = _np.zeros((count, nwords), dtype=_np.uint64)
-    member[_np.arange(count), (idents_u64 >> _np.uint64(6)).astype(_np.int64)] = (
-        _np.uint64(1) << (idents_u64 & _np.uint64(63))
-    )
+    idents = ids.astype(_np.uint64)
+    flat = _np.arange(count, dtype=_np.int64) * nwords + (ids >> 6)
+    member.reshape(-1)[flat] = _np.uint64(1) << (idents & _np.uint64(63))
     return member
-
-
-def _reduceat_tail(ids, prv, rows, row_of, pending, nwords):
-    """Finish the remaining queries with one ``bitwise_or.reduceat``.
-
-    Each window ``(prv[q], q)`` is a *contiguous* range of trace
-    positions, so the OR of its member rows is a ``reduceat`` segment
-    over the per-position membership matrix.  Segments are passed as
-    interleaved (start, end) index pairs; the odd outputs (the gaps
-    between windows) are discarded.  Cost: (sum of window lengths) x
-    words uint64 ORs, independent of how the windows overlap.
-    """
-    starts = prv[pending] + 1
-    ends = pending
-    nonempty = starts < ends  # empty window => conflict set stays 0
-    count = int(nonempty.sum())
-    if count == 0:
-        return
-    member = _member_rows(ids.astype(_np.uint64), nwords)
-    indices = _np.empty(2 * count, dtype=_np.int64)
-    indices[0::2] = starts[nonempty]
-    indices[1::2] = ends[nonempty]
-    segments = _np.bitwise_or.reduceat(member, indices, axis=0)
-    rows[row_of[pending[nonempty]]] = segments[0::2]
-
-
-def _scatter_tail(ids, prv, rows, row_of, pending, nwords):
-    """Finish the remaining queries by scattering membership bits.
-
-    The wide-matrix replacement for the reduceat tail (which would
-    materialize an (N, words) member matrix): every remaining window
-    ``(prv[q], q)`` is flattened into one run of trace positions — a
-    single cumsum over per-window start corrections — and each
-    position's membership bit is ORed into its query's row word with
-    ``np.bitwise_or.at``.  O(1) work per window position regardless of
-    row width; chunked on window boundaries so the flattened index
-    temporaries stay bounded.
-    """
-    starts = prv[pending] + 1
-    lengths = pending - starts
-    nonempty = lengths > 0  # empty window => conflict set stays 0
-    if not nonempty.any():
-        return
-    starts = starts[nonempty]
-    lengths = lengths[nonempty]
-    targets = row_of[pending[nonempty]]
-    boundaries = _np.cumsum(lengths)
-    nqueries = lengths.shape[0]
-    lo = 0
-    while lo < nqueries:
-        base = int(boundaries[lo - 1]) if lo else 0
-        hi = int(
-            _np.searchsorted(boundaries, base + _SCATTER_CHUNK, side="right")
-        )
-        hi = max(hi, lo + 1)  # a single window may exceed the chunk size
-        s = starts[lo:hi]
-        length = lengths[lo:hi]
-        count = int(boundaries[hi - 1]) - base
-        # flat = [s0, s0+1, ..., s0+L0-1, s1, s1+1, ...]: ones everywhere,
-        # each window boundary corrected to jump from the previous
-        # window's last position to the next window's start.
-        flat = _np.ones(count, dtype=_np.int64)
-        flat[0] = s[0]
-        if hi - lo > 1:
-            bnd = _np.cumsum(length[:-1])
-            flat[bnd] = s[1:] - (s[:-1] + length[:-1] - 1)
-        flat = _np.cumsum(flat)
-        row_idx = _np.repeat(targets[lo:hi], length)
-        pos_ids = ids[flat].astype(_np.uint64)
-        word_idx = (pos_ids >> _np.uint64(6)).astype(_np.int64)
-        bits = _np.uint64(1) << (pos_ids & _np.uint64(63))
-        _np.bitwise_or.at(rows, (row_idx, word_idx), bits)
-        lo = hi
 
 
 def _conflict_rows(ids, n_unique):
@@ -336,46 +187,72 @@ def _conflict_rows(ids, n_unique):
 
     Returns ``(rows, noncold)`` where ``noncold`` holds the trace
     positions (ascending) that produced each row; ``ids[noncold]`` are
-    the corresponding identifiers.  Row ``r``'s window ``(prv, pos)`` is
-    answered by the cheapest applicable strategy: coarse block pass,
-    fine block pass, or the bigint tail (see module docstring).
+    the corresponding identifiers.  Occurrence ``q``'s conflict set is
+    the OR of the member rows over its window ``s = prv[q] + 1 ... q - 1``
+    (see module docstring), answered from a doubling table: with the
+    window length ``L`` and ``k = floor(log2 L)``, the row is
+    ``T_k[s] | T_k[q - 2^k]``, two spans of ``2^k`` positions that
+    cover the window exactly (OR is idempotent, so their overlap is
+    harmless).  Queries are bucketed by ``k``; the table is doubled in
+    place level by level, ``T_{k+1}[x] = T_k[x] | T_k[x + 2^k]``, and
+    each level's queries are answered with one gather before the next
+    doubling.  Cost O(N·words·log L), memory one ``(N, words)`` table
+    plus the output rows.
     """
     n = int(ids.shape[0])
     nwords = (n_unique + 63) // 64
-    prv = _previous_occurrences(ids)
+    prv = _previous_occurrences(ids, n_unique)
     noncold = _np.nonzero(prv >= 0)[0]
-    rows = _np.zeros((noncold.shape[0], max(nwords, 1)), dtype=_np.uint64)
-    if noncold.shape[0] == 0:
-        return rows[:, :nwords], noncold
-    row_of = _np.zeros(n, dtype=_np.int64)
-    row_of[noncold] = _np.arange(noncold.shape[0], dtype=_np.int64)
-    use_reduceat = n * nwords * 8 <= _REDUCEAT_MEM_BUDGET
-    tail_budget = (
-        _REDUCEAT_OPS_BUDGET // nwords if use_reduceat else _SCATTER_WINDOW_BUDGET
+    rows = _np.zeros((noncold.shape[0], nwords), dtype=_np.uint64)
+    starts = prv[noncold] + 1
+    lengths = noncold - starts
+    live = _np.nonzero(lengths > 0)[0]  # empty window => conflict set stays 0
+    if live.shape[0] == 0:
+        return rows, noncold
+    # floor(log2 L) in exact integers: the number of powers of two <= L.
+    powers = _np.left_shift(1, _np.arange(63, dtype=_np.int64))
+    levels = (_np.searchsorted(powers, lengths[live], side="right") - 1).astype(
+        _np.uint8
     )
-    pending = noncold
-    for scale in _BLOCK_SCALES:
-        if scale >= n or pending.shape[0] == 0:
-            break
-        remaining = int(_np.sum(pending - prv[pending])) - int(pending.shape[0])
-        if remaining <= tail_budget:
-            break  # cheap enough to finish in one tail call
-        pending = _block_pass(ids, prv, rows, row_of, pending, scale, n_unique, nwords)
-    if pending.shape[0]:
-        if use_reduceat:
-            _reduceat_tail(ids, prv, rows, row_of, pending, nwords)
-        else:
-            _scatter_tail(ids, prv, rows, row_of, pending, nwords)
+    order = _np.argsort(levels, kind="stable")  # radix sort on uint8 keys
+    live = live[order]
+    bounds = _np.searchsorted(levels[order], _np.arange(int(levels.max()) + 2))
+    # Levels >= k read only rows inside their queries' windows: from the
+    # first window start to the last window end, so each doubling updates
+    # just the rows x in [first[begin], last[begin] - span].
+    first = _np.minimum.accumulate(starts[live][::-1])[::-1]
+    last = _np.maximum.accumulate(noncold[live][::-1])[::-1]
+    table = _member_rows(ids, nwords)
+    chunk = max(1, _CHUNK_BYTES // (8 * nwords))
+    span = 1
+    for level in range(bounds.shape[0] - 1):
+        begin, end = int(bounds[level]), int(bounds[level + 1])
+        if level:
+            # T[x] |= T[x + half] in ascending chunks: each reads only
+            # rows that no earlier chunk has written.
+            half = span
+            span *= 2
+            stop = int(last[begin]) - span + 1
+            for lo in range(int(first[begin]), stop, chunk):
+                hi = min(lo + chunk, stop)
+                _np.bitwise_or(
+                    table[lo:hi], table[lo + half : hi + half], out=table[lo:hi]
+                )
+        for lo in range(begin, end, chunk):
+            picked = live[lo : min(lo + chunk, end)]
+            spans = _np.take(table, starts[picked], axis=0)
+            spans |= _np.take(table, noncold[picked] - span, axis=0)
+            rows[picked] = spans
     return rows, noncold
 
 
 def build_mrct_fast(stripped: StrippedTrace) -> MRCT:
-    """Build the exact bigint MRCT with the blocked NumPy kernel.
+    """Build the exact bigint MRCT with the NumPy doubling kernel.
 
     Produces a table identical to :func:`repro.core.mrct.build_mrct` —
-    same sets, same per-reference occurrence order — in O(N/scale)
-    vector passes instead of O(sum of stack distances) Python-object
-    work.  Raises ``RuntimeError`` when NumPy is unavailable; use
+    same sets, same per-reference occurrence order — in O(log L) vector
+    passes instead of O(sum of stack distances) Python-object work.
+    Raises ``RuntimeError`` when NumPy is unavailable; use
     :func:`build_mrct_auto` for the dispatching front door.
     """
     if _np is None:
@@ -607,13 +484,13 @@ def build_mrct_auto(stripped: StrippedTrace) -> MRCT:
 
     With NumPy, :func:`build_mrct_fast` at every size: it beats the
     classic builder on all 24 PowerStone traces, down to 1,153 refs.
-    Without NumPy, a long, reuse-heavy trace takes
-    :func:`build_mrct_fenwick` and the rest the classic
-    :func:`repro.core.mrct.build_mrct` (lowest constants).  All three
-    produce identical tables.
+    Without NumPy, a trace with at least ``FENWICK_MIN_UNIQUE`` unique
+    references takes :func:`build_mrct_fenwick` and the rest the classic
+    :func:`repro.core.mrct.build_mrct` (shallow stacks, lowest
+    constants).  All three produce identical tables.
     """
     if _np is not None:
         return build_mrct_fast(stripped)
-    if stripped.n >= FENWICK_MIN_REFS and stripped.n_unique >= FENWICK_MIN_UNIQUE:
+    if stripped.n_unique >= FENWICK_MIN_UNIQUE:
         return build_mrct_fenwick(stripped)
     return build_mrct(stripped)

@@ -19,6 +19,12 @@ entry's mtime, making mtime order LRU order).  Eviction, like every
 other failure mode here, degrades to a cache miss — the pipeline
 recomputes and rewrites.
 
+A put killed between writing its temp file and renaming it leaves the
+temp file behind.  :meth:`ArtifactStore.describe` counts such files, and
+``prune`` and ``clear`` delete the stale ones: those whose writer pid is
+gone, or older than ``STALE_TEMP_S``.  A live writer's temp file is left
+alone, so its rename still lands.
+
 A put does not list the store to find out whether it is over the cap.
 Each process keeps a byte *ledger* per root: the total at its last
 directory scan plus the bytes it has put since.  Only a put that would
@@ -62,6 +68,14 @@ ENTRY_SUFFIX = ".art"
 
 #: Subdirectory corrupt entries are moved into (never read back).
 QUARANTINE_DIR = "quarantine"
+
+#: Name prefix of a put's temp file, ``.tmp-{digest}-{pid}-{random}``.
+TEMP_PREFIX = ".tmp-"
+
+#: Seconds after which a temp file counts as abandoned even while a
+#: process with its writer's pid runs (pids are reused); a put renames
+#: its temp file within moments of writing it.
+STALE_TEMP_S = 3600.0
 
 #: Environment variable naming the default store location for the CLI.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -128,6 +142,23 @@ class StoreEntry:
     stage: str
     size: int
     mtime: float
+
+
+def _writer_alive(temp_path: str) -> bool:
+    """Whether the pid named in a temp file's name is a running process."""
+    try:
+        pid = int(os.path.basename(temp_path).rsplit("-", 2)[1])
+    except (IndexError, ValueError):
+        return False  # not a name ``put`` writes
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except OSError:  # exists, owned by another user
+        return True
+    return True
 
 
 class ArtifactStore:
@@ -240,7 +271,9 @@ class ArtifactStore:
         path.parent.mkdir(parents=True, exist_ok=True)
         # Unique temp name per writer: two processes racing on the same
         # key each rename their own finished file into place.
-        tmp = path.parent / f".tmp-{key.digest}-{os.getpid()}-{os.urandom(4).hex()}"
+        tmp = path.parent / (
+            f"{TEMP_PREFIX}{key.digest}-{os.getpid()}-{os.urandom(4).hex()}"
+        )
         try:
             tmp.write_bytes(blob)
             os.replace(tmp, path)
@@ -333,17 +366,21 @@ class ArtifactStore:
 
     # -- maintenance ------------------------------------------------------------
 
-    def _scan(self) -> List[Tuple[float, str, str, int]]:
-        """``(mtime, path, stage, size)`` per live entry, oldest-used first.
+    def _scan(
+        self,
+    ) -> Tuple[List[Tuple[float, str, str, int]], List[Tuple[float, str, int]]]:
+        """Live entries and put temp files, in one ``os.scandir`` pass.
 
-        One ``os.scandir`` pass; plain tuples, so a scan before eviction
-        builds no ``Path`` objects.
+        Entries are ``(mtime, path, stage, size)``, oldest-used first;
+        temp files ``(mtime, path, size)``.  Plain tuples, so a scan
+        before eviction builds no ``Path`` objects.
         """
         found: List[Tuple[float, str, str, int]] = []
+        temps: List[Tuple[float, str, int]] = []
         try:
             stage_dirs = list(os.scandir(self.root))
         except OSError:  # no root yet
-            return found
+            return found, temps
         for stage_dir in stage_dirs:
             if not stage_dir.is_dir() or stage_dir.name == QUARANTINE_DIR:
                 continue
@@ -352,37 +389,58 @@ class ArtifactStore:
             except OSError:  # pragma: no cover - raced with a clearer
                 continue
             for item in listing:
-                if not item.name.endswith(ENTRY_SUFFIX):
+                entry = item.name.endswith(ENTRY_SUFFIX)
+                if not entry and not item.name.startswith(TEMP_PREFIX):
                     continue
                 try:
                     stat = item.stat()
-                except OSError:  # pragma: no cover - raced with eviction
+                except OSError:  # pragma: no cover - raced with eviction/rename
                     continue
-                found.append((stat.st_mtime, item.path, stage_dir.name, stat.st_size))
+                if entry:
+                    found.append(
+                        (stat.st_mtime, item.path, stage_dir.name, stat.st_size)
+                    )
+                else:
+                    temps.append((stat.st_mtime, item.path, stat.st_size))
         found.sort()
-        return found
+        return found, temps
+
+    def _remove_stale_temps(self, temps: List[Tuple[float, str, int]]) -> int:
+        """Delete the temp files no put will rename any more; their count."""
+        removed = 0
+        now = time.time()
+        for mtime, path, _ in temps:
+            if now - mtime <= STALE_TEMP_S and _writer_alive(path):
+                continue
+            try:
+                os.unlink(path)
+                removed += 1
+            except OSError:  # pragma: no cover - renamed or removed meanwhile
+                pass
+        return removed
 
     def entries(self) -> List[StoreEntry]:
         """All live entries (quarantine excluded), oldest-used first."""
         return [
             StoreEntry(path=Path(path), stage=stage, size=size, mtime=mtime)
-            for mtime, path, stage, size in self._scan()
+            for mtime, path, stage, size in self._scan()[0]
         ]
 
     def total_bytes(self) -> int:
         """Bytes held by live entries."""
-        return sum(size for _, _, _, size in self._scan())
+        return sum(size for _, _, _, size in self._scan()[0])
 
     def prune(self, max_bytes: Optional[int] = None) -> int:
         """Evict least-recently-used entries until under ``max_bytes``.
 
-        Returns the number of entries evicted.  ``max_bytes`` defaults
-        to the store's configured cap.
+        Stale temp files go first.  Returns the number of entries
+        evicted.  ``max_bytes`` defaults to the store's configured cap.
         """
         cap = self.max_bytes if max_bytes is None else max_bytes
         if cap is None:
             return 0
-        entries = self._scan()
+        entries, temps = self._scan()
+        self._remove_stale_temps(temps)
         total = sum(size for _, _, _, size in entries)
         evicted = 0
         for _, path, _, size in entries:
@@ -399,11 +457,13 @@ class ArtifactStore:
         return evicted
 
     def clear(self) -> int:
-        """Remove every entry (quarantined ones included); return count."""
-        removed = 0
-        for entry in self.entries():
+        """Remove every entry (quarantined ones included) and every stale
+        temp file; return how many files went."""
+        entries, temps = self._scan()
+        removed = self._remove_stale_temps(temps)
+        for _, path, _, _ in entries:
             try:
-                entry.path.unlink()
+                os.unlink(path)
                 removed += 1
             except OSError:  # pragma: no cover - raced with another clearer
                 pass
@@ -420,18 +480,20 @@ class ArtifactStore:
         return removed
 
     def describe(self) -> Dict[str, object]:
-        """Summary for ``repro cache stats``: totals and per-stage counts."""
+        """Summary for ``repro cache stats``: totals, per-stage counts and
+        the temp files unfinished puts left behind."""
+        entries, temps = self._scan()
         by_stage: Dict[str, Tuple[int, int]] = {}
-        for entry in self.entries():
-            count, size = by_stage.get(entry.stage, (0, 0))
-            by_stage[entry.stage] = (count + 1, size + entry.size)
+        for _, _, stage, size in entries:
+            count, total = by_stage.get(stage, (0, 0))
+            by_stage[stage] = (count + 1, total + size)
         quarantined = 0
         quarantine = self.root / QUARANTINE_DIR
         if quarantine.is_dir():
             quarantined = sum(1 for _ in quarantine.iterdir())
         return {
             "root": str(self.root),
-            "entries": sum(count for count, _ in by_stage.values()),
+            "entries": len(entries),
             "bytes": sum(size for _, size in by_stage.values()),
             "max_bytes": self.max_bytes,
             "by_stage": {
@@ -439,6 +501,8 @@ class ArtifactStore:
                 for stage, (count, size) in sorted(by_stage.items())
             },
             "quarantined": quarantined,
+            "temp_files": len(temps),
+            "temp_bytes": sum(size for _, _, size in temps),
         }
 
     def __repr__(self) -> str:

@@ -7,8 +7,11 @@ histograms through the fused packed postlude.
 """
 
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.core.prelude_fast as prelude_fast
 import repro.core.vectorized as vectorized
@@ -17,11 +20,7 @@ import repro.trace.strip as strip_module
 from repro.core import engines
 from repro.core.mrct import build_mrct
 from repro.core.postlude import compute_level_histograms
-from repro.core.prelude_fast import (
-    FENWICK_MIN_REFS,
-    FENWICK_MIN_UNIQUE,
-    build_mrct_fenwick,
-)
+from repro.core.prelude_fast import FENWICK_MIN_UNIQUE, build_mrct_fenwick
 from repro.core.vectorized import numpy_available
 from repro.core.zerosets import build_zero_one_sets
 from repro.trace.strip import strip_trace
@@ -106,19 +105,7 @@ class TestNumpyBuilders:
         stripped = strip_trace(trace)
         packed = build_packed_mrct(stripped)
         mrct = build_mrct(stripped)
-        expected = {}
-        for ident, sets in enumerate(mrct.sets):
-            for conflicts in sets:
-                key = (ident, conflicts)
-                expected[key] = expected.get(key, 0) + 1
-        actual = {}
-        for row in range(packed.n_rows):
-            conflicts = int.from_bytes(
-                packed.matrix[row].tobytes(), "little"
-            )
-            key = (int(packed.idents[row]), conflicts)
-            actual[key] = actual.get(key, 0) + int(packed.weights[row])
-        assert actual == expected
+        assert weighted_rows(packed) == occurrence_rows(mrct)
         expanded = packed.to_mrct()  # multiset-equal, order not preserved
         assert expanded.n_unique == mrct.n_unique
         assert [sorted(sets) for sets in expanded.sets] == [
@@ -134,29 +121,97 @@ class TestNumpyBuilders:
 
     @needs_numpy
     def test_budget_fallback_paths_agree(self, monkeypatch):
-        """Forcing the scatter tail / disabling reduceat stays exact."""
+        """The row budget only sets chunk sizes: any budget is exact."""
         import repro.core.prelude_fast as pf
 
         trace = zipf_trace(1200, 150, seed=6)
         stripped = strip_trace(trace)
         reference = build_mrct(stripped)
-        monkeypatch.setattr(pf, "_REDUCEAT_MEM_BUDGET", 0)  # forbid reduceat
         assert pf.build_mrct_fast(stripped) == reference
-        monkeypatch.setattr(pf, "_BLOCK_SCALES", ())  # no coarse passes either
-        assert pf.build_mrct_fast(stripped) == reference
+        for budget in (0, 256, 1 << 30):  # one row, a few rows, whole table
+            monkeypatch.setattr(pf, "_CHUNK_BYTES", budget)
+            assert pf.build_mrct_fast(stripped) == reference
 
     @needs_numpy
     def test_scatter_tail_chunking_is_exact(self, monkeypatch):
-        """Tiny chunks force many scatter batches; the result is unchanged."""
+        """Tiny chunks force many doubling and gather batches; the rows
+        and their order are unchanged."""
         import repro.core.prelude_fast as pf
 
         trace = zipf_trace(1500, 200, seed=7)
         stripped = strip_trace(trace)
+        ids = pf._ids_array(stripped)
+        rows, noncold = pf._conflict_rows(ids, stripped.n_unique)
+        monkeypatch.setattr(pf, "_CHUNK_BYTES", 64)  # a few rows per chunk
+        small_rows, small_noncold = pf._conflict_rows(ids, stripped.n_unique)
+        assert (small_noncold == noncold).all()
+        assert (small_rows == rows).all()
+        assert pf.build_mrct_fast(stripped) == build_mrct(stripped)
+
+
+@st.composite
+def kernel_traces(draw):
+    """Address lists aimed at the doubling kernel's edges.
+
+    Draws N' from the word boundaries (63, 64, 65) or anywhere up to two
+    words, optionally opens with every reference once (so N' is exact),
+    then mixes a random body with planted windows of length exactly
+    ``2^k`` or ``2^k - 1`` (``k = 0`` plants an empty window).
+    """
+    n_unique = draw(st.sampled_from([1, 2, 63, 64, 65]) | st.integers(1, 130))
+    addresses = list(range(n_unique)) if draw(st.booleans()) else []
+    addresses += draw(st.lists(st.integers(0, n_unique - 1), max_size=200))
+    for _ in range(draw(st.integers(0, 4))):
+        ident = draw(st.integers(0, n_unique - 1))
+        length = (1 << draw(st.integers(0, 7))) - draw(st.integers(0, 1))
+        fill = []
+        if n_unique > 1:  # else no other reference can fill a window
+            others = st.integers(0, n_unique - 2).map(lambda x: x + (x >= ident))
+            fill = draw(st.lists(others, min_size=length, max_size=length))
+        addresses += [ident, *fill, ident]
+    return addresses
+
+
+def weighted_rows(packed):
+    """A packed MRCT's rows as ``{(identifier, conflict set): weight}``."""
+    rows = {}
+    for row in range(packed.n_rows):
+        conflicts = int.from_bytes(packed.matrix[row].tobytes(), "little")
+        key = (int(packed.idents[row]), conflicts)
+        rows[key] = rows.get(key, 0) + int(packed.weights[row])
+    return rows
+
+
+def occurrence_rows(mrct):
+    """A bigint MRCT's occurrences as ``{(identifier, conflict set): count}``."""
+    rows = {}
+    for ident, sets in enumerate(mrct.sets):
+        for conflicts in sets:
+            rows[(ident, conflicts)] = rows.get((ident, conflicts), 0) + 1
+    return rows
+
+
+@needs_numpy
+class TestDoublingKernel:
+    """``_conflict_rows`` against the classic builder, at its edges."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(addresses=kernel_traces(), one_row_chunks=st.booleans())
+    @example(addresses=[5], one_row_chunks=False)  # single reference
+    @example(addresses=list(range(65)), one_row_chunks=False)  # all cold
+    @example(addresses=[0, *range(1, 65), 0], one_row_chunks=True)  # L = 2^6
+    @example(addresses=[0, *range(1, 64), 0, 64], one_row_chunks=True)
+    def test_matches_classic_builder(self, addresses, one_row_chunks):
+        from repro.core.prelude_fast import build_mrct_fast, build_packed_mrct
+
+        stripped = strip_trace(Trace(addresses, name="kernel"))
         reference = build_mrct(stripped)
-        monkeypatch.setattr(pf, "_REDUCEAT_MEM_BUDGET", 0)
-        monkeypatch.setattr(pf, "_BLOCK_SCALES", ())  # every window to the tail
-        monkeypatch.setattr(pf, "_SCATTER_CHUNK", 64)
-        assert pf.build_mrct_fast(stripped) == reference
+        # A 1-byte budget makes every doubling and gather chunk one row.
+        budget = 1 if one_row_chunks else prelude_fast._CHUNK_BYTES
+        with mock.patch.object(prelude_fast, "_CHUNK_BYTES", budget):
+            assert build_mrct_fast(stripped) == reference
+            packed = build_packed_mrct(stripped)
+        assert weighted_rows(packed) == occurrence_rows(reference)
 
 
 #: Every prelude builder a dispatcher may pick: (module, attribute).
@@ -250,22 +305,31 @@ class TestAutoDispatch:
         return builder_calls
 
     def test_short_trace_uses_reference_builder(self, without_numpy, builder_calls):
-        """Without NumPy, a trace below FENWICK_MIN_REFS keeps the classic
-        builder."""
-        trace = zipf_trace(FENWICK_MIN_REFS - 1, 300, seed=1)
+        """Without NumPy, a trace below FENWICK_MIN_UNIQUE unique
+        references keeps the classic builder."""
+        trace = zipf_trace(2000, 300, seed=1)
+        assert strip_trace(trace).n_unique < FENWICK_MIN_UNIQUE
         assert self.split_choice(builder_calls, trace) == ["build_mrct"]
 
     def test_long_trace_uses_fast_builder(self, without_numpy, builder_calls):
         """Without NumPy, a long trace with many unique references takes
         the fast pure-Python (Fenwick) builder."""
-        trace = zipf_trace(FENWICK_MIN_REFS, 300, seed=1)
+        trace = zipf_trace(8192, 2000, seed=1)
+        assert self.split_choice(builder_calls, trace) == ["build_mrct_fenwick"]
+
+    def test_short_trace_many_unique_uses_fast_builder(
+        self, without_numpy, builder_calls
+    ):
+        """Trace length does not gate the split: a short trace at exactly
+        FENWICK_MIN_UNIQUE unique references takes the Fenwick builder."""
+        trace = Trace(list(range(FENWICK_MIN_UNIQUE)) * 2, name="twice")
         assert self.split_choice(builder_calls, trace) == ["build_mrct_fenwick"]
 
     def test_long_trace_few_unique_uses_reference_builder(
         self, without_numpy, builder_calls
     ):
         trace = loop_nest_trace(FENWICK_MIN_UNIQUE - 1, 40)
-        assert len(trace) >= FENWICK_MIN_REFS
+        assert len(trace) >= 16 * FENWICK_MIN_UNIQUE
         assert self.split_choice(builder_calls, trace) == ["build_mrct"]
 
     def test_python_mode_runs_reference_builders(self, builder_calls):
@@ -283,7 +347,7 @@ class TestAutoDispatch:
         if not numpy:
             request.getfixturevalue("without_numpy")
         traces = [sized_trace(n) for n in SIZES]
-        traces.append(zipf_trace(FENWICK_MIN_REFS, 300, seed=1))
+        traces.append(zipf_trace(8192, 2000, seed=1))  # Fenwick without NumPy
         for trace in traces:
             auto = run_prelude(trace, "auto")
             auto_calls = list(builder_calls)
@@ -294,7 +358,7 @@ class TestAutoDispatch:
             assert fast[1:] == auto[1:]
 
     def test_fenwick_gates_exist(self):
-        assert FENWICK_MIN_REFS > FENWICK_MIN_UNIQUE > 1
+        assert FENWICK_MIN_UNIQUE > 1
 
 
 class TestFusedEngine:

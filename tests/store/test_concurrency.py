@@ -1,5 +1,8 @@
 """Store concurrency: the quarantine/rewrite race and eviction hammering.
 
+Also: a put killed between writing its temp file and renaming it, whose
+temp file the store must see and, once stale, remove.
+
 The race under test: ``get`` reads corrupt bytes, and between that read
 and its quarantine step a concurrent ``put`` atomically installs a
 fresh, valid entry at the same path.  The old behavior renamed the path
@@ -10,6 +13,7 @@ the corrupt blob it actually read, restoring the entry on mismatch.
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 
@@ -176,3 +180,63 @@ class TestEvictionHammer:
         # eviction causes misses, never corruption
         assert all(store.stats.corrupt == 0 for store in client_stores)
         assert _quarantine_count(root) == 0
+
+
+def _crashed_put(root, key, histograms) -> None:
+    """Fork a writer that dies between its temp-file write and the rename."""
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - runs in the child
+        try:
+            os.replace = lambda *args, **kwargs: os._exit(0)
+            ArtifactStore(root, max_bytes=None).put(key, HISTOGRAMS_CODEC, histograms)
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+
+def _temp_files(root):
+    return sorted(root.glob(f"*/{fs_module.TEMP_PREFIX}*"))
+
+
+def _disk_bytes(root) -> int:
+    return sum(path.stat().st_size for path in root.rglob("*") if path.is_file())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestCrashedPut:
+    def test_store_stays_under_cap_and_answers(self, tmp_path) -> None:
+        root = tmp_path / "s"
+        key, histograms = _entry()
+        _crashed_put(root, key, histograms)
+        (temp,) = _temp_files(root)
+        size = temp.stat().st_size
+        assert not (root / key.stage / f"{key.digest}{fs_module.ENTRY_SUFFIX}").exists()
+        cap = size + size // 2  # room for one copy of the entry, not two
+        store = ArtifactStore(root, max_bytes=cap, memory_entries=0)
+        summary = store.describe()
+        assert (summary["entries"], summary["temp_files"]) == (0, 1)
+        assert summary["temp_bytes"] == size
+        assert store.get(key, HISTOGRAMS_CODEC) is None
+        store.put(key, HISTOGRAMS_CODEC, histograms)
+        assert _temp_files(root) == []  # the writer's pid is gone
+        assert _disk_bytes(root) <= cap
+        fresh = ArtifactStore(root, max_bytes=cap, memory_entries=0)
+        assert fresh.get(key, HISTOGRAMS_CODEC) == histograms
+        assert fresh.describe()["temp_files"] == 0
+
+    def test_clear_and_prune_spare_a_live_writer(self, tmp_path) -> None:
+        root = tmp_path / "s"
+        key, histograms = _entry()
+        _crashed_put(root, key, histograms)
+        (dead,) = _temp_files(root)
+        live = dead.with_name(f"{fs_module.TEMP_PREFIX}{key.digest}-{os.getpid()}-live")
+        live.write_bytes(b"in flight")
+        store = ArtifactStore(root, max_bytes=None)
+        assert store.describe()["temp_files"] == 2
+        assert store.prune(0) == 0  # no entries; the dead writer's file goes
+        assert _temp_files(root) == [live]
+        old = time.time() - fs_module.STALE_TEMP_S - 1
+        os.utime(live, (old, old))  # a live pid, but far too old for a put
+        assert store.clear() == 1
+        assert _temp_files(root) == []
