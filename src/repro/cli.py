@@ -393,13 +393,7 @@ def _cmd_engines(args: argparse.Namespace) -> int:
             title="histogram engines (all bit-identical)",
         )
     )
-    print(
-        f"auto: 'vectorized' when NumPy is importable and the trace has "
-        f">= {engines.AUTO_MIN_REFS} references "
-        f"(>= {engines.AUTO_MIN_REFS_POSTLUDE} when the MRCT is already "
-        f"built) and >= {engines.AUTO_MIN_UNIQUE} unique addresses, "
-        f"else 'serial' (see BENCH_postlude.json)"
-    )
+    print("auto: 'vectorized' when NumPy is importable, else 'serial'")
     aliases = ", ".join(
         f"{alias} -> {target}" for alias, target in engines.ALIASES.items()
     )
@@ -518,7 +512,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.store import ArtifactStore, default_cache_dir
+    from repro.store import DEFAULT_MAX_BYTES, ArtifactStore, default_cache_dir
 
     root = args.cache_dir or default_cache_dir()
     store = ArtifactStore(root, max_bytes=None)  # maintenance: no auto-evict
@@ -546,10 +540,11 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"removed {removed} entries from {root}")
         return 0
     # prune
-    evicted = store.prune(args.max_bytes)
+    cap = DEFAULT_MAX_BYTES if args.max_bytes is None else args.max_bytes
+    evicted = store.prune(cap)
     print(
         f"evicted {evicted} least-recently-used entries from {root} "
-        f"(cap: {args.max_bytes} bytes)"
+        f"(cap: {cap} bytes)"
     )
     return 0
 
@@ -1516,8 +1511,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-bytes",
         type=int,
-        default=0,
-        help="prune target size in bytes (prune only)",
+        default=None,
+        help="prune target size in bytes (prune only; default: the "
+        "store's default cap)",
     )
     p.add_argument(
         "--json", action="store_true", help="emit stats as JSON (stats only)"

@@ -24,11 +24,11 @@ Names
     engine names ``parallel``, ``parallel-shm`` and ``streaming`` are
     legacy aliases: none of them ever beat this kernel (DESIGN §5.9).
 ``auto``
-    Picks between ``serial`` and ``vectorized``.  The threshold depends
-    on what work is left: a cold trace favors ``vectorized`` from
-    ``AUTO_MIN_REFS`` because the fused prelude is part of the win; with
-    the bigint MRCT already in hand only the postlude differs, and
-    ``serial`` stays competitive until ``AUTO_MIN_REFS_POSTLUDE``.
+    ``vectorized`` wherever NumPy is importable, ``serial`` where it is
+    not; the trace is never consulted.  Every engine returns the same
+    histograms, and ``vectorized`` beat ``serial`` on all 24 PowerStone
+    traces under both preludes (DESIGN §5.1), so no size threshold
+    picks ``serial`` any more.
 
 All engines consume the same :class:`EngineInputs` bundle, which builds
 the prelude products (stripped trace, zero/one sets, MRCT — and, for
@@ -58,27 +58,6 @@ from repro.trace.trace import Trace
 
 #: Engine selected when the caller does not choose one.
 AUTO_ENGINE = "auto"
-
-#: ``auto`` switches from ``serial`` to ``vectorized`` at this trace
-#: length on a *cold* trace, where the fused fast-prelude path is part
-#: of the win: below it the NumPy kernel's setup overhead eats it.
-AUTO_MIN_REFS = 4096
-
-#: ``auto``'s threshold when the bigint MRCT is already built (warm
-#: inputs / injected products): only the postlude differs, and
-#: BENCH_postlude.json shows serial ahead through N=4097 (fir: 3.2 ms
-#: vs 4.6 ms) but behind by N=60000 (markov: 131 ms vs 33 ms) — the
-#: geometric midpoint keeps both measured sides on their winners.
-AUTO_MIN_REFS_POSTLUDE = 16384
-
-#: ``auto``'s fallback threshold when only prelude products are
-#: available (no raw trace): unique-reference count N'.  Calibrated
-#: from BENCH_postlude.json: serial still wins at N'=734 (crc) and
-#: loses at N'=1000 (markov) when the trace behind it is long.
-AUTO_MIN_UNIQUE = 1024
-
-#: The only engines ``auto`` may return.
-AUTO_CANDIDATES = ("serial", "vectorized")
 
 #: Prelude builder modes accepted by :class:`EngineInputs`.  ``fast``
 #: is kept as a synonym of ``auto``: both run the same builders.
@@ -450,36 +429,12 @@ def canonical_name(name: str) -> str:
     return resolved
 
 
-def choose_auto(
-    trace: Optional[Trace] = None,
-    stripped: Optional[StrippedTrace] = None,
-    prelude_ready: bool = False,
-) -> str:
-    """The concrete engine ``auto`` stands for, given what is known.
-
-    Only :data:`AUTO_CANDIDATES` (``serial``/``vectorized``) are ever
-    returned — see the constants' calibration notes.  Sizing prefers the raw trace length; when the raw trace is
-    unavailable — a caller injected prelude products — it falls back to
-    the stripped trace's ``n_unique`` (``>= AUTO_MIN_UNIQUE``) rather
-    than silently treating the unknown trace as short.
-
-    Args:
-        prelude_ready: True when the bigint MRCT is already built, so
-            only postlude cost differs between the candidates; the
-            higher :data:`AUTO_MIN_REFS_POSTLUDE` threshold applies
-            (on a cold trace the fused fast prelude tilts the balance
-            toward ``vectorized`` much earlier).
-    """
+def choose_auto() -> str:
+    """The concrete engine ``auto`` stands for in this interpreter:
+    ``vectorized`` with NumPy, ``serial`` without it."""
     from repro.core.vectorized import numpy_available
 
-    if not numpy_available():
-        return "serial"
-    threshold = AUTO_MIN_REFS_POSTLUDE if prelude_ready else AUTO_MIN_REFS
-    if trace is not None:
-        return "vectorized" if len(trace) >= threshold else "serial"
-    if stripped is not None:
-        return "vectorized" if stripped.n_unique >= AUTO_MIN_UNIQUE else "serial"
-    return "serial"
+    return "vectorized" if numpy_available() else "serial"
 
 
 def get_engine(name: str) -> EngineSpec:
@@ -488,28 +443,16 @@ def get_engine(name: str) -> EngineSpec:
     if resolved == AUTO_ENGINE:
         raise ValueError(
             "'auto' is a selection policy, not a concrete engine; "
-            "use resolve_engine() with inputs"
+            "use resolve_engine()"
         )
     return _REGISTRY[resolved]
 
 
-def resolve_engine(name: str, inputs: Optional[EngineInputs] = None) -> EngineSpec:
-    """Resolve a name (including ``auto`` and aliases) to an engine spec.
-
-    ``auto`` sizes by the raw trace when the inputs carry one, else by
-    the already-built stripped trace (never triggering a prelude build
-    just to pick an engine).  The postlude threshold applies when the
-    bigint MRCT is built, or will be whichever engine runs: the
-    ``python`` prelude has no fused path.
-    """
+def resolve_engine(name: str) -> EngineSpec:
+    """Resolve a name (including ``auto`` and aliases) to an engine spec."""
     resolved = canonical_name(name)
     if resolved == AUTO_ENGINE:
-        trace = inputs.trace if inputs is not None else None
-        stripped = inputs.stripped_if_built if inputs is not None else None
-        prelude_ready = inputs is not None and (
-            inputs.prelude == "python" or inputs.mrct_if_built is not None
-        )
-        resolved = choose_auto(trace, stripped=stripped, prelude_ready=prelude_ready)
+        resolved = choose_auto()
     return _REGISTRY[resolved]
 
 
@@ -519,7 +462,7 @@ def compute_histograms(
     max_level: Optional[int] = None,
 ) -> Dict[int, LevelHistogram]:
     """Select an engine by name and run it — the one-call dispatch path."""
-    return resolve_engine(engine, inputs).compute(inputs, max_level=max_level)
+    return resolve_engine(engine).compute(inputs, max_level=max_level)
 
 
 # -- built-in engines ----------------------------------------------------------
@@ -573,7 +516,7 @@ register_engine(
         name="serial",
         summary="reference bigint BCAT/MRCT pipeline (pure Python)",
         memory="O(N' bits x N') sets + O(occurrences) MRCT",
-        best_for="small/medium traces; the correctness baseline",
+        best_for="the correctness baseline; what auto runs without NumPy",
         runner=_run_serial,
     )
 )
@@ -582,7 +525,7 @@ register_engine(
         name="vectorized",
         summary="NumPy uint64 bit-matrix kernel, fused with the fast prelude",
         memory="O(unique conflict rows x N'/64 words)",
-        best_for="long loop-dominated traces when NumPy is available",
+        best_for="every trace when NumPy is available (what auto runs)",
         runner=_run_vectorized,
         requires_numpy=True,
     )

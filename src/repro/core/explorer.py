@@ -36,8 +36,8 @@ class AnalyticalCacheExplorer:
             (see :mod:`repro.core.engines`): ``"serial"`` (the paper's
             BCAT/MRCT pipeline with bit-vector sets; ``"bitmask"`` is a
             legacy alias), ``"vectorized"`` (NumPy bit-matrix kernel) or
-            ``"auto"`` (default; picks ``vectorized`` for long traces
-            when NumPy is available, else ``serial``).
+            ``"auto"`` (default; ``vectorized`` when NumPy is
+            available, else ``serial``).
         prelude: prelude builder mode — ``"auto"`` (default; the NumPy
             kernels, or the pure-Python fallbacks without NumPy),
             ``"fast"`` (a synonym of ``"auto"``) or ``"python"`` (the
@@ -126,7 +126,7 @@ class AnalyticalCacheExplorer:
             # Resolution is a phase of its own: picking "auto" may import
             # NumPy, which dominates small-trace profiles if untracked.
             with self.recorder.phase("resolve-engine"):
-                self._spec = _engines.resolve_engine(self.engine, self._inputs)
+                self._spec = _engines.resolve_engine(self.engine)
         return self._spec
 
     @property

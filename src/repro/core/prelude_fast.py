@@ -331,6 +331,26 @@ def _row_hashes(rows, idents):
     return hashes
 
 
+def _groups_match(rows, idents, representative) -> bool:
+    """Whether every ``(identifier, row)`` pair equals its hash group's
+    representative.
+
+    Only rows that are not their own representative are compared, a
+    block of ``_CHUNK_BYTES`` at a time, stopping at the first mismatch:
+    no copy of the whole row matrix is ever gathered.
+    """
+    others = _np.flatnonzero(representative != _np.arange(representative.shape[0]))
+    targets = representative[others]
+    if not _np.array_equal(idents[others], idents[targets]):
+        return False
+    block = max(1, _CHUNK_BYTES // (8 * rows.shape[1]))
+    for start in range(0, others.shape[0], block):
+        stop = start + block
+        if not _np.array_equal(rows[others[start:stop]], rows[targets[start:stop]]):
+            return False
+    return True
+
+
 def _dedup_rows(rows, idents, n_unique) -> PackedMRCT:
     """Deduplicate per-occurrence rows into a weighted :class:`PackedMRCT`.
 
@@ -367,11 +387,7 @@ def _dedup_rows(rows, idents, n_unique) -> PackedMRCT:
             weights=_np.ones(total, dtype=_np.int64),
             n_unique=n_unique,
         )
-    representative = first[inverse]
-    exact = _np.array_equal(rows, rows[representative]) and _np.array_equal(
-        idents, idents[representative]
-    )
-    if exact:
+    if _groups_match(rows, idents, first[inverse]):
         return PackedMRCT(
             matrix=_np.ascontiguousarray(rows[first]),
             idents=_np.ascontiguousarray(idents[first]),

@@ -5,7 +5,6 @@ import pytest
 from repro.core import engines
 from repro.core.explorer import AnalyticalCacheExplorer
 from repro.core.vectorized import numpy_available
-from repro.trace.strip import strip_trace
 from repro.trace.synthetic import loop_nest_trace, random_trace, zipf_trace
 from repro.trace.trace import Trace
 
@@ -33,23 +32,51 @@ class TestEngineSelection:
         assert explorer.resolved_engine in AnalyticalCacheExplorer.ENGINES
 
 
+#: The one engine ``auto`` may resolve to in this interpreter.
+AUTO_TARGET = "vectorized" if numpy_available() else "serial"
+
+
+def _auto_trace(n):
+    """An ``n``-reference trace (``n`` may be 0), at most 256 unique."""
+    if n == 0:
+        return Trace([], address_bits=8)
+    return random_trace(n, min(256, max(1, n // 4)), seed=n)
+
+
 class TestAutoSelection:
-    """Regression: ``choose_auto`` treated trace=None as "short trace"
-    and always answered ``serial`` for injected prelude products."""
+    """``auto`` is ``vectorized`` wherever NumPy is importable and
+    ``serial`` elsewhere: no trace size, prelude or prebuilt product
+    moves the choice."""
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs NumPy")
-    def test_traceless_inputs_size_by_n_unique(self):
-        big = strip_trace(random_trace(4 * engines.AUTO_MIN_UNIQUE,
-                                       2 * engines.AUTO_MIN_UNIQUE, seed=0))
-        assert big.n_unique >= engines.AUTO_MIN_UNIQUE
-        assert engines.choose_auto(None, stripped=big) == "vectorized"
+    @pytest.mark.parametrize("prebuilt_mrct", [False, True],
+                             ids=["cold", "prebuilt-mrct"])
+    @pytest.mark.parametrize("prelude", ["auto", "python"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 16, 255, 4096, 16384])
+    @pytest.mark.parametrize("numpy", [True, False], ids=["numpy", "no-numpy"])
+    def test_auto_rule(self, monkeypatch, numpy, n, prelude, prebuilt_mrct):
+        from repro.core import vectorized
 
-    def test_traceless_small_stripped_stays_serial(self):
-        small = strip_trace(loop_nest_trace(16, 4))
-        assert engines.choose_auto(None, stripped=small) == "serial"
+        if numpy and not numpy_available():
+            pytest.skip("needs NumPy")
+        if not numpy:
+            monkeypatch.setattr(vectorized, "numpy_available", lambda: False)
+        explorer = AnalyticalCacheExplorer(_auto_trace(n), prelude=prelude)
+        if prebuilt_mrct:
+            explorer.mrct  # the bigint MRCT exists before auto resolves
+        expected = "vectorized" if numpy else "serial"
+        assert explorer.resolved_engine == expected
+        assert engines.choose_auto() == expected
 
-    def test_nothing_known_stays_serial(self):
-        assert engines.choose_auto(None) == "serial"
+    @pytest.mark.parametrize("mode", ["sum", "each", "linesize"])
+    def test_auto_rule_in_multi_trace_reports(self, mode):
+        from repro.core.request import ExplorationRequest, explore_request
+
+        short, long = _auto_trace(16), _auto_trace(4096)
+        if mode == "linesize":
+            request = ExplorationRequest.line_sweep(short, budget=1)
+        else:
+            request = ExplorationRequest.multi([short, long], 1, mode=mode)
+        assert explore_request(request).engine == AUTO_TARGET
 
     @pytest.mark.skipif(not numpy_available(), reason="needs NumPy")
     def test_million_refs_pick_vectorized(self):
@@ -58,21 +85,12 @@ class TestAutoSelection:
         from array import array
 
         trace = Trace(array("q", bytes(8 * 1_000_000)), address_bits=1)
-        assert engines.choose_auto(trace) == "vectorized"
-        assert engines.AUTO_CANDIDATES == ("serial", "vectorized")
-
-    @pytest.mark.skipif(not numpy_available(), reason="needs NumPy")
-    def test_resolve_engine_uses_injected_stripped(self):
-        trace = random_trace(4 * engines.AUTO_MIN_UNIQUE,
-                             2 * engines.AUTO_MIN_UNIQUE, seed=0)
-        stripped = strip_trace(trace)
-        inputs = engines.EngineInputs(None, stripped=stripped)
-        assert engines.resolve_engine("auto", inputs).name == "vectorized"
+        assert AnalyticalCacheExplorer(trace).resolved_engine == "vectorized"
 
     def test_resolve_never_triggers_prelude(self):
-        inputs = engines.EngineInputs(None)  # no trace, nothing injected
-        engines.resolve_engine("auto", inputs)  # sizes by nothing: serial
-        assert inputs.stripped_if_built is None
+        explorer = AnalyticalCacheExplorer(_auto_trace(4096))
+        assert explorer.resolved_engine == AUTO_TARGET
+        assert explorer._inputs.stripped_if_built is None
 
 
 class TestEngineEquivalence:
@@ -128,9 +146,7 @@ class TestAutoResolvedOnce:
         return calls, ran
 
     @pytest.mark.parametrize("prelude", engines.PRELUDE_MODES)
-    @pytest.mark.parametrize(
-        "n", [1000, engines.AUTO_MIN_REFS, engines.AUTO_MIN_REFS_POSTLUDE]
-    )
+    @pytest.mark.parametrize("n", [1000, 4096, 16384])
     def test_one_choice_per_request(self, picks, prelude, n):
         from repro.core.request import ExplorationRequest, explore_request
 
@@ -140,14 +156,6 @@ class TestAutoResolvedOnce:
                 zipf_trace(n, 300, seed=4), percents=(5, 10, 20), prelude=prelude
             )
         )
-        threshold = (
-            engines.AUTO_MIN_REFS_POSTLUDE
-            if prelude == "python"
-            else engines.AUTO_MIN_REFS
-        )
-        expected = (
-            "vectorized" if numpy_available() and n >= threshold else "serial"
-        )
-        assert calls == [expected]
-        assert ran == [expected]
-        assert report.engine == expected
+        assert calls == [AUTO_TARGET]
+        assert ran == [AUTO_TARGET]
+        assert report.engine == AUTO_TARGET

@@ -214,6 +214,52 @@ class TestDoublingKernel:
         assert weighted_rows(packed) == occurrence_rows(reference)
 
 
+@needs_numpy
+class TestDedupVerification:
+    """``_dedup_rows`` checks each hash group exactly, block by block."""
+
+    @staticmethod
+    def _packed_bytes(packed):
+        return (packed.matrix.tobytes(), packed.idents.tobytes(),
+                packed.weights.tobytes())
+
+    def test_hash_collisions_fall_back_to_exact_dedup(self, monkeypatch):
+        stripped = strip_trace(zipf_trace(1500, 200, seed=7))
+        reference = occurrence_rows(build_mrct(stripped))
+        # Two hash values for every row: nearly every group collides.
+        monkeypatch.setattr(
+            prelude_fast, "_row_hashes",
+            lambda rows, idents: (idents % 2).astype("uint64"),
+        )
+        assert weighted_rows(prelude_fast.build_packed_mrct(stripped)) == reference
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 8, 64])
+    def test_groups_spanning_blocks_are_exact(self, monkeypatch, chunk_bytes):
+        """Blocks of one row upward split every hash group; the packed
+        bytes are those of one whole-matrix block."""
+        stripped = strip_trace(zipf_trace(1500, 60, seed=3))
+        whole = prelude_fast.build_packed_mrct(stripped)
+        assert whole.n_rows < len(stripped.id_sequence)  # dedup ran
+        monkeypatch.setattr(prelude_fast, "_CHUNK_BYTES", chunk_bytes)
+        split = prelude_fast.build_packed_mrct(stripped)
+        assert self._packed_bytes(split) == self._packed_bytes(whole)
+
+    def test_mismatch_in_last_block_is_caught(self, monkeypatch):
+        """One group whose only differing member sits in the last block."""
+        import numpy as np
+
+        rows = np.zeros((10, 1), dtype=np.uint64)
+        rows[-1, 0] = 1
+        idents = np.zeros(10, dtype=np.int64)
+        monkeypatch.setattr(prelude_fast, "_CHUNK_BYTES", 8)  # one row
+        monkeypatch.setattr(
+            prelude_fast, "_row_hashes",
+            lambda rows, idents: np.zeros(rows.shape[0], dtype=np.uint64),
+        )
+        packed = prelude_fast._dedup_rows(rows, idents, 1)
+        assert weighted_rows(packed) == {(0, 0): 9, (0, 1): 1}
+
+
 #: Every prelude builder a dispatcher may pick: (module, attribute).
 #: ``strip_trace`` and ``build_mrct`` are called through two modules
 #: each, so both bindings are spied under one name.
@@ -470,50 +516,3 @@ class TestPackedStoreWarmStart:
         assert warm == cold
         assert warm_inputs.packed_mrct_if_built is None
         assert warm_inputs.stripped_if_built is None
-
-
-class TestAutoCalibration:
-    """``auto`` only ever picks from AUTO_CANDIDATES (BENCH-calibrated)."""
-
-    def test_candidates_exclude_bigint_parallel_and_streaming(self):
-        assert engines.AUTO_CANDIDATES == ("serial", "vectorized")
-
-    @pytest.mark.parametrize(
-        "trace",
-        [
-            None,
-            loop_nest_trace(8, 4),
-            zipf_trace(300, 60, seed=1),
-            random_trace(5000, 2000, seed=2),
-        ],
-        ids=["none", "tiny-loop", "small-zipf", "large-random"],
-    )
-    def test_choice_always_a_candidate(self, trace):
-        stripped = strip_trace(trace) if trace is not None else None
-        for prelude_ready in (False, True):
-            choice = engines.choose_auto(
-                trace, stripped=stripped, prelude_ready=prelude_ready
-            )
-            assert choice in engines.AUTO_CANDIDATES
-
-    @needs_numpy
-    def test_postlude_threshold_is_higher(self):
-        """With the MRCT prebuilt the fused prelude can't help, so auto
-        stays serial up to the BENCH-measured crossover."""
-        assert engines.AUTO_MIN_REFS_POSTLUDE > engines.AUTO_MIN_REFS
-        n = engines.AUTO_MIN_REFS
-        trace = zipf_trace(n, 200, seed=3)
-        assert engines.choose_auto(trace) == "vectorized"
-        assert engines.choose_auto(trace, prelude_ready=True) == "serial"
-
-    @needs_numpy
-    def test_resolve_applies_postlude_threshold_for_prebuilt_mrct(self):
-        n = engines.AUTO_MIN_REFS
-        trace = zipf_trace(n, 200, seed=3)
-        cold = engines.EngineInputs(trace)
-        assert engines.resolve_engine("auto", cold).name == "vectorized"
-        stripped = strip_trace(trace)
-        warm = engines.EngineInputs(
-            trace, stripped=stripped, mrct=build_mrct(stripped)
-        )
-        assert engines.resolve_engine("auto", warm).name == "serial"

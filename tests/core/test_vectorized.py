@@ -3,8 +3,8 @@
 Bit-identity on the paper's example and edge cases, both popcount code
 paths, the level walk under every block size and narrowing mode
 (Hypothesis), the NumPy-less fallback (in-process and in a real
-subprocess with ``import numpy`` failing), and the ``auto`` selection
-policy.
+subprocess with ``import numpy`` failing, where ``auto`` resolves to
+``serial``).
 """
 
 import subprocess
@@ -15,7 +15,6 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import engines
 from repro.core import vectorized as vec
 from repro.core.mrct import build_mrct
 from repro.core.postlude import compute_level_histograms
@@ -165,12 +164,11 @@ from repro.core import (
     compute_level_histograms_vectorized,
     numpy_available,
 )
-from repro.core.engines import choose_auto
 from repro.trace.synthetic import loop_nest_trace
 
 assert not numpy_available()
-trace = loop_nest_trace(16, 400)  # long enough that auto would vectorize
-assert choose_auto(trace) == "serial"
+trace = loop_nest_trace(16, 400)
+assert AnalyticalCacheExplorer(trace).resolved_engine == "serial"
 explorer = AnalyticalCacheExplorer(trace, engine="vectorized")
 reference = AnalyticalCacheExplorer(trace, engine="serial")
 assert explorer.histograms == reference.histograms
@@ -185,14 +183,3 @@ print("ok")
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "ok"
-
-
-def test_auto_prefers_vectorized_only_for_long_traces():
-    short = loop_nest_trace(8, 4)
-    long = loop_nest_trace(64, 1 + engines.AUTO_MIN_REFS // 64)
-    if vec.numpy_available():
-        assert engines.choose_auto(long) == "vectorized"
-    else:
-        assert engines.choose_auto(long) == "serial"
-    assert engines.choose_auto(short) == "serial"
-    assert engines.choose_auto(None) == "serial"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core.vectorized import numpy_available
 from repro.trace.io import write_trace
 from repro.trace.synthetic import loop_nest_trace, zipf_trace
 
@@ -81,7 +82,8 @@ class TestProfileTelemetry:
         out = capsys.readouterr().out
         assert "load-trace" in out
         assert "engine:" in out
-        assert "prelude:mrct" in out
+        # auto runs the fused vectorized path wherever NumPy is
+        assert ("prelude:packed-mrct" if numpy_available() else "prelude:mrct") in out
         assert "postlude:optimal-pairs" in out
         assert "total" in out
         assert "memory:" in out  # tracemalloc sampling on by default
@@ -386,6 +388,29 @@ class TestCache:
         assert "evicted 1" in capsys.readouterr().out
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
         assert "removed 0 entries" in capsys.readouterr().out
+
+    def test_cache_prune_defaults_to_store_cap(self, tmp_path, trace_file, capsys):
+        # Regression: without --max-bytes, prune used a 0-byte cap and
+        # evicted everything, like clear.
+        from repro.store import DEFAULT_MAX_BYTES
+
+        cache_dir = str(tmp_path / "store")
+        assert main(
+            ["explore", trace_file, "--budget", "5", "--cache-dir", cache_dir]
+        ) == 0
+        capsys.readouterr()
+        assert main(["cache", "prune", "--cache-dir", cache_dir]) == 0
+        out = capsys.readouterr().out
+        assert "evicted 0" in out
+        assert f"(cap: {DEFAULT_MAX_BYTES} bytes)" in out
+        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        assert "entries: 1" in capsys.readouterr().out
+        assert main(
+            ["cache", "prune", "--cache-dir", cache_dir, "--max-bytes", "0"]
+        ) == 0
+        assert "evicted 1" in capsys.readouterr().out
+        assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
+        assert "entries: 0" in capsys.readouterr().out
 
     def test_cache_stats_json(self, tmp_path, trace_file, capsys):
         import json

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.core.explorer import AnalyticalCacheExplorer
+from repro.core.vectorized import numpy_available
 from repro.obs import (
     MANIFEST_SCHEMA,
     Recorder,
@@ -65,10 +66,11 @@ class TestRunManifest:
             p for p in manifest.phases if p["name"].startswith("engine:")
         )
         child_names = [c["name"] for c in engine_phase["children"]]
+        # auto runs the fused vectorized path wherever NumPy is
         assert child_names[:3] == [
             "prelude:strip",
             "prelude:zerosets",
-            "prelude:mrct",
+            "prelude:packed-mrct" if numpy_available() else "prelude:mrct",
         ]
 
     def test_explorer_manifest_counters_and_trace(self):
@@ -77,7 +79,7 @@ class TestRunManifest:
         assert manifest.counters["unique_refs"] == manifest.trace["n_unique"]
         assert manifest.counters["histogram_levels"] >= 1
         assert manifest.trace["n"] == 400
-        assert manifest.engine in ("serial", "vectorized")
+        assert manifest.engine == ("vectorized" if numpy_available() else "serial")
         assert manifest.requested_engine == "auto"
 
     def test_memory_sampling_lands_in_manifest(self):
