@@ -13,8 +13,10 @@ Run it from the repo root::
 Timing and memory sampling go through :mod:`repro.obs` — the same
 recorder the pipeline itself is instrumented with (``repro profile``),
 so the harness measures exactly what a profiled production run reports.
-Timing excludes the prelude (strip / zero-one sets / MRCT are built
-once per trace before the clock starts).
+Timing excludes the prelude: the stripped trace, zero/one sets, the
+bigint MRCT (what ``serial`` walks) and, with NumPy, the packed MRCT
+(what ``vectorized`` walks — the same one ``auto`` builds) are built once
+per trace before the clock starts.
 
 JSON schema (``validate_results`` enforces it)::
 
@@ -49,6 +51,7 @@ import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import engines
+from repro.core.vectorized import numpy_available
 from repro.obs import NULL_RECORDER, Recorder, environment_info
 from repro.trace.synthetic import (
     interleaved_trace,
@@ -165,7 +168,10 @@ def run_bench(
     wall_by_key: Dict[Tuple[str, str], float] = {}
     for trace in traces:
         inputs = engines.EngineInputs(trace)
-        inputs.mrct  # build the prelude outside the timed region
+        # Build the prelude outside the timed region.
+        inputs.mrct
+        if numpy_available():
+            inputs.packed_mrct
         reference = engines.get_engine("serial").compute(inputs)
         levels = max(reference, default=0)
         for name in engine_names:

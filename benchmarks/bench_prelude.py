@@ -2,8 +2,8 @@
 
 Times the cold end-to-end pipeline — strip, zero/one sets, conflict
 table, postlude — twice per trace: once with the paper-faithful python
-builders feeding the bigint vectorized postlude (the pre-fast-prelude
-baseline), and once with the fast NumPy kernels feeding the fused packed
+builders feeding the vectorized postlude through ``pack_mrct`` (the
+pre-fast-prelude baseline), and once with the fast NumPy kernels feeding the fused packed
 postlude (``repro.core.prelude_fast``).  Cross-checks that both
 pipelines produce bit-identical histograms against the serial reference
 engine, and writes a machine-readable ``BENCH_prelude.json``.
@@ -104,9 +104,9 @@ def synthetic_panel(quick: bool = False) -> List[Trace]:
 def _run_python_pipeline(trace: Trace) -> Tuple[Dict[str, float], Dict]:
     """One cold python-prelude run: stage wall times and the histograms.
 
-    The postlude is the bigint vectorized engine when NumPy is available
-    (the strongest pre-fast-prelude configuration, per BENCH_postlude),
-    else the serial reference.
+    The postlude is the vectorized walk over the packed bigint MRCT when
+    NumPy is available (what ``prelude="python"`` runs), else the serial
+    reference.
     """
     times: Dict[str, float] = {}
     start = time.perf_counter()

@@ -333,30 +333,30 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
+    from repro.core.request import ExplorationRequest, explore_request, request_manifest
     from repro.obs import Recorder
 
     recorder = Recorder(memory=not args.no_memory)
     with recorder.phase("load-trace"):
         trace = read_trace(args.trace)
-    explorer = AnalyticalCacheExplorer(
+    request = ExplorationRequest.single(
         trace,
+        budget=args.budget,
+        percent=args.percent if args.budget is None else None,
         engine=args.engine,
         prelude=args.prelude,
         recorder=recorder,
         store=_resolve_store(args),
     )
-    if args.budget is not None:
-        budget = args.budget
-    else:
-        budget = explorer.statistics.budget(args.percent)
-    result = explorer.explore(budget)
-    manifest = explorer.run_manifest()  # before printing: wall time is closed
+    report = explore_request(request)
+    result = report.results[0]
+    manifest = request_manifest(request, report)  # before printing: wall closes
     if args.json:
         print(manifest.to_json())
     else:
         print(
             f"trace {trace.name}: N={len(trace)} N'={trace.unique_count()} "
-            f"K={budget} -> {len(result.instances)} instances "
+            f"K={result.budget} -> {len(result.instances)} instances "
             f"(engine: {manifest.engine})"
         )
         print(recorder.render())

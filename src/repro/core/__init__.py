@@ -34,6 +34,7 @@ from repro.core.prelude_fast import (
     build_mrct_fast,
     build_mrct_fenwick,
     build_packed_mrct,
+    pack_mrct,
 )
 from repro.core.postlude import (
     LevelHistogram,
@@ -92,6 +93,7 @@ __all__ = [
     "build_mrct_fast",
     "build_mrct_fenwick",
     "build_packed_mrct",
+    "pack_mrct",
     "LevelHistogram",
     "compute_level_histograms",
     "misses_at_node",

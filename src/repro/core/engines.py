@@ -17,10 +17,10 @@ Names
     as a legacy alias.
 ``vectorized``
     NumPy ``uint64`` bit-matrix kernel (:mod:`repro.core.vectorized`);
-    falls back to ``serial`` when NumPy is missing.  On a cold trace it
-    runs *fused*: the fast prelude emits the packed conflict bit-matrix
-    directly (:mod:`repro.core.prelude_fast`) and the postlude consumes
-    it zero-copy, skipping the bigint MRCT entirely.  The retired
+    falls back to ``serial`` when NumPy is missing.  It always walks the
+    packed conflict bit-matrix (:attr:`EngineInputs.packed_mrct`): the
+    fast prelude emits it directly, skipping the bigint MRCT entirely,
+    and the ``python`` prelude packs its bigint MRCT.  The retired
     engine names ``parallel``, ``parallel-shm`` and ``streaming`` are
     legacy aliases: none of them ever beat this kernel (DESIGN §5.9).
 ``auto``
@@ -31,9 +31,9 @@ Names
     picks ``serial`` any more.
 
 All engines consume the same :class:`EngineInputs` bundle, which builds
-the prelude products (stripped trace, zero/one sets, MRCT — and, for
-the fused path, the packed MRCT) lazily and exactly once, so switching
-engines never repeats the prelude.  The ``prelude`` mode selects the
+the prelude products (stripped trace, zero/one sets, MRCT and packed
+MRCT) from the trace lazily and exactly once, so switching engines never
+repeats the prelude.  The ``prelude`` mode selects the
 builders: ``python`` the paper-faithful reference builders, ``auto``
 (``fast`` is a synonym) the NumPy kernels at every trace size, or the
 pure-Python fallbacks without NumPy.
@@ -77,12 +77,11 @@ ALIASES = {
 class EngineInputs:
     """Lazily built prelude products shared by every engine.
 
-    One instance per trace; each stage (strip, zero/one sets, MRCT) is
-    computed on first access and cached, so engines can be re-run or
-    compared without re-running the prelude.  Pre-built products may be
-    injected (the benchmark harness does this to time the postlude
-    alone); when every consumer's products are injected, ``trace`` may
-    be ``None``.
+    One instance per trace; each stage (strip, zero/one sets, MRCT,
+    packed MRCT) is built from the trace on first access and cached, so
+    engines can be re-run or compared without re-running the prelude
+    (the benchmark harness touches the stages it needs before timing
+    the postlude alone).
 
     When an :class:`repro.store.ArtifactStore` is attached, the
     histograms — what every answer is read from — are looked up in the
@@ -93,13 +92,10 @@ class EngineInputs:
     from the trace whenever a histograms key misses.
 
     Args:
-        trace: the raw trace, or ``None`` when the prelude products are
-            injected.
+        trace: the raw trace.
         recorder: a :class:`repro.obs.Recorder` that each lazily built
             stage reports itself to; defaults to the no-op recorder.
-        store: optional :class:`repro.store.ArtifactStore`; ignored when
-            ``trace`` is ``None`` (injected products have no digest to
-            address them by).
+        store: optional :class:`repro.store.ArtifactStore`.
         prelude: which builders construct the prelude products —
             ``"python"`` (the paper-faithful reference builders only)
             or ``"auto"``/``"fast"`` (synonyms: the NumPy kernels at
@@ -109,10 +105,7 @@ class EngineInputs:
 
     def __init__(
         self,
-        trace: Optional[Trace],
-        stripped: Optional[StrippedTrace] = None,
-        zerosets: Optional[ZeroOneSets] = None,
-        mrct: Optional[MRCT] = None,
+        trace: Trace,
         recorder=NULL_RECORDER,
         store=None,
         prelude: str = "auto",
@@ -125,22 +118,16 @@ class EngineInputs:
         self.recorder = recorder
         self.store = store
         self.prelude = prelude
-        self._stripped = stripped
-        self._zerosets = zerosets
-        self._mrct = mrct
+        self._stripped: Optional[StrippedTrace] = None
+        self._zerosets: Optional[ZeroOneSets] = None
+        self._mrct: Optional[MRCT] = None
         self._packed_mrct = None
         self._trace_digest: Optional[str] = None
 
-    def require_trace(self, why: str) -> Trace:
-        """The raw trace, or ``ValueError`` naming what needed it."""
-        if self.trace is None:
-            raise ValueError(f"EngineInputs has no raw trace, but {why}")
-        return self.trace
-
     @property
-    def trace_digest(self) -> Optional[str]:
-        """Content digest of the raw trace (``None`` without one)."""
-        if self._trace_digest is None and self.trace is not None:
+    def trace_digest(self) -> str:
+        """Content digest of the raw trace."""
+        if self._trace_digest is None:
             from repro.store.keys import trace_digest
 
             self._trace_digest = trace_digest(self.trace)
@@ -179,7 +166,7 @@ class EngineInputs:
         ``0..max_level`` of the full result are exactly the bounded
         computation.
         """
-        if self.store is None or self.trace_digest is None:
+        if self.store is None:
             return None
         exact = self._get_histograms(self._histogram_level_key(max_level))
         if exact is not None or max_level is None:
@@ -197,7 +184,7 @@ class EngineInputs:
         """Whether the store holds an entry :meth:`load_histograms`
         would read (the exact ``max_level`` key, or ``full``).  Checks
         presence only: nothing is read, decoded or counted."""
-        if self.store is None or self.trace_digest is None:
+        if self.store is None:
             return False
         return any(
             self.store.contains(self._histograms_key(level))
@@ -210,8 +197,8 @@ class EngineInputs:
         max_level: Optional[int] = None,
     ) -> None:
         """Persist per-level histograms under their ``max_level`` key
-        (no-op without a store or a raw trace)."""
-        if self.store is None or self.trace_digest is None:
+        (no-op without a store)."""
+        if self.store is None:
             return
         from repro.store.codec import HISTOGRAMS_CODEC
 
@@ -235,16 +222,10 @@ class EngineInputs:
     @property
     def stripped(self) -> StrippedTrace:
         if self._stripped is None:
-            trace = self.require_trace("the strip prelude stage needs one")
             with self.recorder.phase("prelude:strip"):
-                self._stripped = self._strip(trace)
+                self._stripped = self._strip(self.trace)
                 self.recorder.record("trace_refs", self._stripped.n)
                 self.recorder.record("unique_refs", self._stripped.n_unique)
-        return self._stripped
-
-    @property
-    def stripped_if_built(self) -> Optional[StrippedTrace]:
-        """The stripped trace only if already built/injected (no side effect)."""
         return self._stripped
 
     def _strip(self, trace: Trace) -> StrippedTrace:
@@ -293,35 +274,29 @@ class EngineInputs:
         return self._mrct
 
     @property
-    def mrct_if_built(self) -> Optional[MRCT]:
-        """The bigint MRCT only if already built/injected (no side effect)."""
-        return self._mrct
-
-    @property
     def packed_mrct(self):
-        """The packed conflict bit-matrix for the fused vectorized path.
+        """The packed conflict bit-matrix the vectorized engine walks.
 
-        Built by :func:`repro.core.prelude_fast.build_packed_mrct` — the
-        bigint MRCT is never materialized on this path.  Requires NumPy;
-        callers gate on :func:`repro.core.vectorized.numpy_available`.
+        The prelude mode alone picks the builder: ``python`` packs the
+        bigint :attr:`mrct` (:func:`repro.core.prelude_fast.pack_mrct`);
+        ``auto``/``fast`` emit it straight from the stripped trace
+        (:func:`repro.core.prelude_fast.build_packed_mrct`), never
+        materializing the bigint MRCT.  Requires NumPy; callers gate on
+        :func:`repro.core.vectorized.numpy_available`.
         """
         if self._packed_mrct is None:
-            from repro.core.prelude_fast import build_packed_mrct
+            from repro.core.prelude_fast import build_packed_mrct, pack_mrct
 
-            stripped = self.stripped
+            python = self.prelude == "python"
+            source = self.mrct if python else self.stripped
             with self.recorder.phase("prelude:packed-mrct"):
-                self._packed_mrct = build_packed_mrct(
-                    stripped, recorder=self.recorder
-                )
-                self.recorder.record(
-                    "conflict_sets", self._packed_mrct.total_conflict_sets
-                )
-                self.recorder.record("packed_rows", self._packed_mrct.n_rows)
-        return self._packed_mrct
-
-    @property
-    def packed_mrct_if_built(self):
-        """The packed MRCT only if already built (no side effect)."""
+                if python:
+                    packed = pack_mrct(source)
+                else:
+                    packed = build_packed_mrct(source, recorder=self.recorder)
+                self.recorder.record("conflict_sets", packed.total_conflict_sets)
+                self.recorder.record("packed_rows", packed.n_rows)
+            self._packed_mrct = packed
         return self._packed_mrct
 
 
@@ -481,31 +456,14 @@ def _run_vectorized(
 ) -> Dict[int, LevelHistogram]:
     from repro.core.vectorized import (
         compute_level_histograms_packed,
-        compute_level_histograms_vectorized,
         numpy_available,
     )
 
-    if numpy_available():
-        # Fused path: consume the packed conflict matrix directly, never
-        # materializing bigint conflict sets.  Taken when the packed form
-        # already exists, or on a cold run (no bigint MRCT built yet —
-        # when one was injected or already built, packing it again would
-        # repeat prelude work the caller has already paid for).
-        can_build_packed = (
-            inputs.prelude != "python"
-            and inputs.mrct_if_built is None
-            and (inputs.trace is not None or inputs.stripped_if_built is not None)
-        )
-        if inputs.packed_mrct_if_built is not None or can_build_packed:
-            return compute_level_histograms_packed(
-                inputs.zerosets,
-                inputs.packed_mrct,
-                max_level=max_level,
-                recorder=inputs.recorder,
-            )
-    return compute_level_histograms_vectorized(
+    if not numpy_available():
+        return _run_serial(inputs, max_level=max_level)
+    return compute_level_histograms_packed(
         inputs.zerosets,
-        inputs.mrct,
+        inputs.packed_mrct,
         max_level=max_level,
         recorder=inputs.recorder,
     )

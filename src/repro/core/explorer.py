@@ -16,7 +16,6 @@ from repro.core.instance import ExplorationResult
 from repro.core.mrct import MRCT
 from repro.core.postlude import LevelHistogram, optimal_pairs
 from repro.core.zerosets import ZeroOneSets
-from repro.obs.manifest import RunManifest
 from repro.obs.recorder import NULL_RECORDER
 from repro.trace.stats import TraceStatistics, compute_statistics
 from repro.trace.strip import StrippedTrace
@@ -44,16 +43,15 @@ class AnalyticalCacheExplorer:
             paper-faithful reference builders).  Every mode produces
             identical products and identical results.
         recorder: a :class:`repro.obs.Recorder` for per-phase telemetry;
-            defaults to the zero-overhead null recorder.  When given, a
-            :class:`repro.obs.RunManifest` of the run is available from
-            :meth:`run_manifest`.
+            defaults to the zero-overhead null recorder.  A run manifest
+            is built from a request's recorder by
+            :func:`repro.core.request.request_manifest`.
         store: optional :class:`repro.store.ArtifactStore`.  The
             per-level histograms are then looked up in the store before
             the prelude runs and persisted once computed, so repeated
             explorations of the same trace — any process, any engine —
             warm-start from the stored histograms.
-            Hits/misses/bytes land in the recorder's counters (and hence
-            the run manifest).
+            Hits/misses/bytes land in the recorder's counters.
 
     All engines produce bit-identical histograms, hence identical
     exploration results (tested); a store entry written by one engine
@@ -217,27 +215,3 @@ class AnalyticalCacheExplorer:
     ) -> List[ExplorationResult]:
         """Explore several absolute budgets, reusing all cached stages."""
         return [self.explore(k, include_depth_one=include_depth_one) for k in budgets]
-
-    # -- telemetry export ---------------------------------------------------------
-
-    def run_manifest(self) -> RunManifest:
-        """Export this run's telemetry as a :class:`repro.obs.RunManifest`.
-
-        Meaningful after at least one exploration (or histogram access)
-        with a real :class:`repro.obs.Recorder`; with the default null
-        recorder the manifest carries an empty phase tree.
-        """
-        stripped = self._inputs.stripped_if_built
-        return RunManifest.from_recorder(
-            self.recorder,
-            engine=self.resolved_engine,
-            requested_engine=self.engine,
-            options={},
-            trace={
-                "name": self.trace.name,
-                "n": len(self.trace),
-                "n_unique": stripped.n_unique if stripped is not None else None,
-                "address_bits": self.trace.address_bits,
-            },
-        )
-

@@ -27,7 +27,8 @@ exact replacements:
 * :func:`build_packed_mrct` — the fused-pipeline product: the same rows
   as ``build_mrct_fast`` but deduplicated with integer weights into a
   :class:`PackedMRCT`, which the vectorized postlude consumes zero-copy
-  (no bigint round-trip, no re-packing).
+  (no bigint round-trip, no re-packing).  :func:`pack_mrct` gives a
+  bigint MRCT (the ``python`` prelude's) the same form.
 
 All three are exact: ``build_mrct_fast`` and ``build_mrct_fenwick``
 reproduce ``build_mrct``'s table including per-reference occurrence
@@ -299,6 +300,36 @@ def build_packed_mrct(stripped: StrippedTrace, recorder=NULL_RECORDER) -> Packed
         rows, noncold = _conflict_rows(ids, n_unique)
     with recorder.phase("prelude:dedup-rows"):
         return _dedup_rows(rows, ids[noncold], n_unique)
+
+
+def pack_mrct(mrct: MRCT) -> PackedMRCT:
+    """Pack a bigint :class:`MRCT` into the deduplicated :class:`PackedMRCT`.
+
+    The ``python`` prelude's way into the packed postlude: each conflict
+    set becomes one little-endian row, grouped by identifier, and the
+    rows go through the same dedup as :func:`build_packed_mrct`, so both
+    preludes hand the walk the same weighted multiset.
+    """
+    if _np is None:
+        raise RuntimeError("pack_mrct requires NumPy")
+    n_unique = mrct.n_unique
+    nwords = (n_unique + 63) // 64
+    nbytes = nwords * 8
+    raw = bytearray(
+        b"".join(
+            conflict.to_bytes(nbytes, "little")
+            for conflicts in mrct.sets
+            for conflict in conflicts
+        )
+    )
+    rows = _np.frombuffer(raw, dtype=_np.uint64).reshape(
+        mrct.total_conflict_sets, nwords
+    )
+    idents = _np.repeat(
+        _np.arange(n_unique, dtype=_np.int64),
+        [len(conflicts) for conflicts in mrct.sets],
+    )
+    return _dedup_rows(rows, idents, n_unique)
 
 
 def _mix64(values):

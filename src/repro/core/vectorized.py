@@ -6,18 +6,20 @@ pass cheap; the serial engine realizes them as Python bigints, whose
 interpreter iteration per (occurrence, level) — dominates the wall clock
 on long traces.  This engine removes that driver loop:
 
-1. **Pack** every MRCT conflict set into one row of a ``uint64``
-   bit-matrix (column ``j`` = reference with identifier ``j``, exactly
-   the bigint layout, so results are bit-identical by construction).
+1. **Take** the MRCT as a :class:`~repro.core.prelude_fast.PackedMRCT`:
+   one ``uint64`` bit-matrix row per distinct ``(identifier, conflict
+   set)`` pair, weighted by its occurrence count (column ``j`` =
+   reference with identifier ``j``, exactly the bigint layout, so
+   results are bit-identical by construction).  The fast prelude emits
+   it directly; a bigint MRCT is packed by
+   :func:`~repro.core.prelude_fast.pack_mrct`.  Loop-dominated embedded
+   traces re-enter the same steady state every iteration, so the dedup
+   routinely compresses the row count from O(N) to O(N').
 2. **Order** the rows by the *bit-reversed* low address bits of their
    reference.  Under that order the members of every BCAT node occupy a
    contiguous identifier range, hence every node's occurrences form one
    contiguous row segment — the whole tree becomes range arithmetic.
-3. **Deduplicate** repeated ``(identifier, conflict set)`` pairs into a
-   single weighted row.  Loop-dominated embedded traces re-enter the same
-   steady state every iteration, so this routinely compresses the row
-   count from O(N) to O(N') (measured ~99x on a 1024-word loop nest).
-4. **Walk** the BCAT level by level without materializing it.  Each
+3. **Walk** the BCAT level by level without materializing it.  Each
    block of rows goes down the tree in a scratch copy in which every row
    is ANDed with the members of its current node.  At each level one
    popcount and one weighted ``bincount`` over the block give that
@@ -51,6 +53,7 @@ from repro.core.postlude import (
     compute_level_histograms,
     validate_max_level,
 )
+from repro.core.prelude_fast import PackedMRCT, pack_mrct
 from repro.core.zerosets import ZeroOneSets
 from repro.obs.recorder import NULL_RECORDER
 
@@ -133,45 +136,6 @@ def _bit_reversed_keys(zerosets: ZeroOneSets, limit: int, nbytes: int):
     return key
 
 
-def _pack_conflict_rows(mrct: MRCT, perm, nbytes: int):
-    """Dedupe + pack conflict sets into a row-sorted weighted bit-matrix.
-
-    Rows are emitted in ``perm`` (bit-reversed identifier) order and
-    duplicates within one identifier collapse into a single row whose
-    weight is the occurrence count.  Returns ``(matrix, weights,
-    positions)`` where ``positions[i]`` is the sorted position of row
-    ``i``'s identifier.
-    """
-    total = mrct.total_conflict_sets
-    packed = _np.zeros(total * nbytes, dtype=_np.uint8)
-    buffer = packed.data  # aligned, NumPy-owned backing store
-    weights = _np.empty(total, dtype=_np.float64)
-    positions = _np.empty(total, dtype=_np.int64)
-    row = 0
-    offset = 0
-    sets = mrct.sets
-    for position, ident in enumerate(perm.tolist()):
-        conflicts = sets[ident]
-        if not conflicts:
-            continue
-        if len(conflicts) == 1:
-            unique = {conflicts[0]: 1}
-        else:
-            unique = {}
-            for conflict in conflicts:
-                unique[conflict] = unique.get(conflict, 0) + 1
-        for conflict, weight in unique.items():
-            if conflict:
-                span = (conflict.bit_length() + 7) // 8
-                buffer[offset : offset + span] = conflict.to_bytes(span, "little")
-            weights[row] = weight
-            positions[row] = position
-            row += 1
-            offset += nbytes
-    matrix = packed[: row * nbytes].view(_np.uint64).reshape(row, nbytes // 8)
-    return matrix, weights[:row], positions[:row]
-
-
 def _level_masks(sets, limit: int, nbytes: int):
     """The first ``limit`` bigint split sets packed into a ``(limit, W)`` array."""
     masks = _np.empty((limit, nbytes // 8), dtype=_np.uint64)
@@ -197,9 +161,7 @@ def _walk_bit_matrix(
     ``weights`` are the rows' occurrence multiplicities.  Each row block
     is carried through all levels at once (:func:`_walk_block`); the
     result equals ``bcat.walk_bcat_sets`` with its pruning of nodes with
-    fewer than two members, and fills ``histograms`` in place.  Shared
-    by the bigint-packing path (:func:`compute_level_histograms_vectorized`)
-    and the fused packed path (:func:`compute_level_histograms_packed`).
+    fewer than two members, and fills ``histograms`` in place.
     """
     rows, words = matrix.shape
     nbytes = words * 8
@@ -304,23 +266,7 @@ def _level_limit(zerosets: ZeroOneSets, max_level: Optional[int]) -> int:
     return min(limit, zerosets.address_bits)
 
 
-def prepare_bigint_walk(zerosets: ZeroOneSets, limit: int, mrct: MRCT):
-    """Row-sort a bigint MRCT into walk form.
-
-    Returns ``(matrix, weights, row_keys, keys)``: rows are ordered by
-    their identifier's bit-reversed key, so every BCAT node is one
-    contiguous row segment — the precondition of :func:`_walk_bit_matrix`.
-    """
-    nprime = zerosets.n_unique
-    nbytes = ((nprime + 63) // 64) * 8
-    key = _bit_reversed_keys(zerosets, limit, nbytes)
-    perm = _np.argsort(key, kind="stable")
-    keys = key[perm]
-    matrix, weights, positions = _pack_conflict_rows(mrct, perm, nbytes)
-    return matrix, weights, keys[positions], keys
-
-
-def prepare_packed_walk(zerosets: ZeroOneSets, limit: int, packed: "PackedMRCT"):
+def prepare_packed_walk(zerosets: ZeroOneSets, limit: int, packed: PackedMRCT):
     """Row-sort a :class:`PackedMRCT` into walk form.
 
     Returns ``(matrix, weights, row_keys, keys)`` with rows gathered in
@@ -336,48 +282,19 @@ def prepare_packed_walk(zerosets: ZeroOneSets, limit: int, packed: "PackedMRCT")
     return matrix, weights, row_keys[order], _np.sort(key)
 
 
-def compute_level_histograms_vectorized(
-    zerosets: ZeroOneSets,
-    mrct: MRCT,
-    max_level: Optional[int] = None,
-    recorder=NULL_RECORDER,
-) -> Dict[int, LevelHistogram]:
-    """NumPy drop-in for :func:`~repro.core.postlude.compute_level_histograms`.
-
-    Falls back to the serial bigint kernel when NumPy is not installed;
-    either way the returned histograms are bit-identical to the serial
-    engine's.
-    """
-    if _np is None:
-        return compute_level_histograms(zerosets, mrct, max_level=max_level)
-
-    nprime = zerosets.n_unique
-    limit = _level_limit(zerosets, max_level)
-    histograms: Dict[int, LevelHistogram] = {
-        level: LevelHistogram(level) for level in range(limit + 1)
-    }
-    if nprime < 2 or mrct.total_conflict_sets == 0:
-        return histograms  # no row can conflict: every histogram is empty
-
-    with recorder.phase("postlude:pack-rows"):
-        walk = prepare_bigint_walk(zerosets, limit, mrct)
-    with recorder.phase("postlude:walk"):
-        _walk_bit_matrix(zerosets, limit, *walk, histograms)
-    return histograms
-
-
 def compute_level_histograms_packed(
     zerosets: ZeroOneSets,
-    packed: "PackedMRCT",
+    packed: PackedMRCT,
     max_level: Optional[int] = None,
     recorder=NULL_RECORDER,
 ) -> Dict[int, LevelHistogram]:
-    """The fused postlude: consume a packed MRCT with no bigint round-trip.
+    """The vectorized postlude's one walk, over a packed MRCT.
 
-    Takes the :class:`~repro.core.prelude_fast.PackedMRCT` emitted by the
-    fast prelude, reorders its rows under the bit-reversed identifier
-    permutation (a gather — the matrix itself is consumed as-is), and
-    runs the same BCAT walk as the bigint path.  Histograms are
+    Takes a :class:`~repro.core.prelude_fast.PackedMRCT` (from
+    :func:`~repro.core.prelude_fast.build_packed_mrct` or
+    :func:`~repro.core.prelude_fast.pack_mrct`), reorders its rows under
+    the bit-reversed identifier permutation (a gather — the matrix itself
+    is consumed as-is), and walks the BCAT.  Histograms are
     bit-identical to every other engine's.  Requires NumPy — a
     ``PackedMRCT`` cannot exist without it.
     """
@@ -401,3 +318,24 @@ def compute_level_histograms_packed(
     with recorder.phase("postlude:walk"):
         _walk_bit_matrix(zerosets, limit, *walk, histograms)
     return histograms
+
+
+def compute_level_histograms_vectorized(
+    zerosets: ZeroOneSets,
+    mrct: MRCT,
+    max_level: Optional[int] = None,
+    recorder=NULL_RECORDER,
+) -> Dict[int, LevelHistogram]:
+    """NumPy drop-in for :func:`~repro.core.postlude.compute_level_histograms`.
+
+    Packs the bigint MRCT (:func:`repro.core.prelude_fast.pack_mrct`)
+    and runs :func:`compute_level_histograms_packed` on it.  Falls back
+    to the serial bigint kernel when NumPy is not installed; either way
+    the returned histograms are bit-identical to the serial engine's.
+    """
+    if _np is None:
+        return compute_level_histograms(zerosets, mrct, max_level=max_level)
+    max_level = validate_max_level(max_level)
+    return compute_level_histograms_packed(
+        zerosets, pack_mrct(mrct), max_level=max_level, recorder=recorder
+    )

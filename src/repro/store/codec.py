@@ -84,6 +84,10 @@ def unpack_entry(blob: bytes, codec_version: int) -> bytes:
     return payload
 
 
+#: One ``(distance or associativity, count)`` entry of a stored table.
+_PAIR = struct.Struct("<IQ")
+
+
 class _Reader:
     """Sequential struct reader over a payload, bounds-checked."""
 
@@ -100,6 +104,16 @@ class _Reader:
         values = struct.unpack_from(fmt, self._view, self._pos)
         self._pos += size
         return values
+
+    def pairs(self, count: int) -> Dict[int, int]:
+        """``count`` ``<IQ`` (key, value) pairs as a dict, bounds-checked
+        once and unpacked in bulk."""
+        size = _PAIR.size * count
+        if self._pos + size > len(self._view):
+            raise CorruptArtifact("payload truncated mid-field")
+        block = self._view[self._pos:self._pos + size]
+        self._pos += size
+        return dict(_PAIR.iter_unpack(block))
 
     def read(self, size: int) -> bytes:
         if self._pos + size > len(self._view):
@@ -157,11 +171,9 @@ class HistogramsCodec:
         histograms: Dict[int, LevelHistogram] = {}
         for _ in range(n_levels):
             level, n_entries = reader.unpack("<II")
-            counts: Dict[int, int] = {}
-            for _ in range(n_entries):
-                distance, count = reader.unpack("<IQ")
-                counts[distance] = count
-            histograms[level] = LevelHistogram(level=level, counts=counts)
+            histograms[level] = LevelHistogram(
+                level=level, counts=reader.pairs(n_entries)
+            )
         reader.expect_end()
         return histograms
 
@@ -230,11 +242,7 @@ class StreamCheckpointCodec:
                 raise CorruptArtifact(
                     f"checkpoint level {level} out of order (expected {expected})"
                 )
-            level_counts: Dict[int, int] = {}
-            for _ in range(n_entries):
-                distance, count = reader.unpack("<IQ")
-                level_counts[distance] = count
-            counts.append(level_counts)
+            counts.append(reader.pairs(n_entries))
         reader.expect_end()
         if address_bits < 1:
             raise CorruptArtifact("checkpoint address_bits must be >= 1")

@@ -5,6 +5,7 @@ import pytest
 from repro.core import engines
 from repro.core.explorer import AnalyticalCacheExplorer
 from repro.core.vectorized import numpy_available
+from repro.obs import Recorder
 from repro.trace.synthetic import loop_nest_trace, random_trace, zipf_trace
 from repro.trace.trace import Trace
 
@@ -88,9 +89,11 @@ class TestAutoSelection:
         assert AnalyticalCacheExplorer(trace).resolved_engine == "vectorized"
 
     def test_resolve_never_triggers_prelude(self):
-        explorer = AnalyticalCacheExplorer(_auto_trace(4096))
+        recorder = Recorder()
+        explorer = AnalyticalCacheExplorer(_auto_trace(4096), recorder=recorder)
         assert explorer.resolved_engine == AUTO_TARGET
-        assert explorer._inputs.stripped_if_built is None
+        assert recorder.find("resolve-engine") is not None
+        assert recorder.find("prelude:strip") is None
 
 
 class TestEngineEquivalence:

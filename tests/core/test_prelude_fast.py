@@ -23,6 +23,7 @@ from repro.core.postlude import compute_level_histograms
 from repro.core.prelude_fast import FENWICK_MIN_UNIQUE, build_mrct_fenwick
 from repro.core.vectorized import numpy_available
 from repro.core.zerosets import build_zero_one_sets
+from repro.obs import Recorder
 from repro.trace.strip import strip_trace
 from repro.trace.synthetic import (
     loop_nest_trace,
@@ -170,6 +171,15 @@ def kernel_traces(draw):
             fill = draw(st.lists(others, min_size=length, max_size=length))
         addresses += [ident, *fill, ident]
     return addresses
+
+
+def _phases(recorder):
+    """Every phase record in a recorder's tree, depth-first."""
+    stack = list(recorder.phases)
+    while stack:
+        record = stack.pop()
+        yield record
+        stack.extend(record.children)
 
 
 def weighted_rows(packed):
@@ -454,31 +464,98 @@ class TestFusedEngine:
     @needs_numpy
     def test_fused_path_skips_bigint_mrct(self):
         """The vectorized engine runs packed end-to-end on a cold trace."""
-        inputs = engines.EngineInputs(zipf_trace(400, 60, seed=7))
+        recorder = Recorder()
+        inputs = engines.EngineInputs(
+            zipf_trace(400, 60, seed=7), recorder=recorder
+        )
         engines.compute_histograms("vectorized", inputs)
-        assert inputs.packed_mrct_if_built is not None
-        assert inputs.mrct_if_built is None
+        assert recorder.find("prelude:packed-mrct") is not None
+        assert recorder.find("prelude:conflict-rows") is not None
+        assert recorder.find("prelude:mrct") is None
 
     @needs_numpy
     def test_python_prelude_mode_stays_bigint(self):
+        """Under ``python`` the walk's rows come from the bigint MRCT."""
+        recorder = Recorder()
         inputs = engines.EngineInputs(
-            zipf_trace(400, 60, seed=7), prelude="python"
+            zipf_trace(400, 60, seed=7), recorder=recorder, prelude="python"
         )
         engines.compute_histograms("vectorized", inputs)
-        assert inputs.packed_mrct_if_built is None
-        assert inputs.mrct_if_built is not None
+        assert recorder.find("prelude:mrct") is not None
+        assert recorder.find("prelude:packed-mrct") is not None
+        assert recorder.find("prelude:conflict-rows") is None
 
     @needs_numpy
     def test_prebuilt_mrct_short_circuits_fusion(self):
-        """Injected bigint MRCTs are consumed as-is (benchmark contract)."""
-        trace = zipf_trace(400, 60, seed=7)
-        stripped = strip_trace(trace)
+        """Under ``python`` a bigint MRCT built first is packed, not rebuilt."""
+        recorder = Recorder()
         inputs = engines.EngineInputs(
-            trace, stripped=stripped, mrct=build_mrct(stripped)
+            zipf_trace(400, 60, seed=7), recorder=recorder, prelude="python"
         )
         reference = engines.compute_histograms("serial", inputs)
         assert engines.compute_histograms("vectorized", inputs) == reference
-        assert inputs.packed_mrct_if_built is None
+        assert sum(p.name == "prelude:mrct" for p in _phases(recorder)) == 1
+        assert recorder.find("prelude:conflict-rows") is None
+
+    @needs_numpy
+    def test_auto_walks_packed_rows_after_mrct_built(self, monkeypatch):
+        """A bigint MRCT built first does not reroute ``auto``'s walk: it
+        still walks ``build_packed_mrct``'s matrix."""
+        recorder = Recorder()
+        trace = zipf_trace(400, 60, seed=7)
+        inputs = engines.EngineInputs(trace, recorder=recorder)
+        inputs.mrct
+        walked = []
+        real_walk = vectorized.compute_level_histograms_packed
+
+        def spy(zerosets, packed, **kwargs):
+            walked.append(packed)
+            return real_walk(zerosets, packed, **kwargs)
+
+        monkeypatch.setattr(vectorized, "compute_level_histograms_packed", spy)
+        histograms = engines.compute_histograms("vectorized", inputs)
+        assert walked == [inputs.packed_mrct]
+        packed_phase = recorder.find("prelude:packed-mrct")
+        assert packed_phase.find("prelude:conflict-rows") is not None
+        assert walked[0] == prelude_fast.build_packed_mrct(strip_trace(trace))
+        assert histograms == engines.compute_histograms(
+            "serial", engines.EngineInputs(trace, prelude="python")
+        )
+
+    @needs_numpy
+    @pytest.mark.parametrize("max_level", [None, 0, 2])
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            Trace([], address_bits=8, name="empty"),
+            Trace([5], name="single-ref"),
+            Trace(list(range(40)), name="all-cold"),
+            Trace([0, 1, 0, 1, 1, 0, 0], address_bits=1, name="1-bit"),
+            Trace(
+                [(1 << 62) | 5, 5, (1 << 62) | 5, 7, 5, (3 << 61) | 7, 7],
+                address_bits=64,
+                name="64-bit",
+            ),
+        ],
+        ids=lambda t: t.name,
+    )
+    def test_python_prelude_packing_matches_fast(self, trace, max_level):
+        """Both preludes hand the walk the same weighted multiset, and the
+        ``python`` prelude's vectorized walk equals its serial one."""
+        stripped = strip_trace(trace)
+        packed = prelude_fast.pack_mrct(build_mrct(stripped))
+        assert weighted_rows(packed) == weighted_rows(
+            prelude_fast.build_packed_mrct(stripped)
+        )
+        vector, serial = (
+            engines.compute_histograms(
+                name,
+                engines.EngineInputs(trace, prelude="python"),
+                max_level=max_level,
+            )
+            for name in ("vectorized", "serial")
+        )
+        assert vector == serial
 
     @pytest.mark.parametrize("mode", engines.PRELUDE_MODES)
     def test_all_prelude_modes_agree(self, mode):
@@ -511,8 +588,9 @@ class TestPackedStoreWarmStart:
         cold = engines.compute_histograms(
             "vectorized", engines.EngineInputs(trace, store=store)
         )
-        warm_inputs = engines.EngineInputs(trace, store=store)
+        recorder = Recorder()
+        warm_inputs = engines.EngineInputs(trace, recorder=recorder, store=store)
         warm = engines.compute_histograms("vectorized", warm_inputs)
         assert warm == cold
-        assert warm_inputs.packed_mrct_if_built is None
-        assert warm_inputs.stripped_if_built is None
+        assert recorder.find("prelude:packed-mrct") is None
+        assert recorder.find("prelude:strip") is None

@@ -111,7 +111,8 @@ class TestProfileTelemetry:
         # a retired engine name answers through the engine that ran
         assert document["engine"] == "vectorized"
         assert document["requested_engine"] == "parallel"
-        assert document["options"] == {}
+        assert document["options"] == {"mode": "single", "prelude": "auto"}
+        assert document["trace"]["n_unique"] > 0
         assert "wrote run manifest" in capsys.readouterr().err
 
     def test_profile_defaults_to_percent_budget(self, trace_file, capsys):
@@ -454,6 +455,8 @@ class TestCache:
         assert main(argv) == 0
         warm = json.loads(capsys.readouterr().out)
         assert warm["counters"]["store_hits"] > 0
+        # a warm run still reports N' (it read no stripped trace)
+        assert warm["trace"]["n_unique"] == cold["trace"]["n_unique"]
 
     def test_help_lists_registry_engines(self, capsys):
         with pytest.raises(SystemExit):

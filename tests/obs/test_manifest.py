@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.explorer import AnalyticalCacheExplorer
+from repro.core.request import ExplorationRequest, explore_request, request_manifest
 from repro.core.vectorized import numpy_available
 from repro.obs import (
     MANIFEST_SCHEMA,
@@ -20,9 +20,8 @@ def _explored_manifest(memory=False):
     """A real manifest from a fully instrumented exploration."""
     recorder = Recorder(memory=memory)
     trace = zipf_trace(400, 60, seed=2)
-    explorer = AnalyticalCacheExplorer(trace, recorder=recorder)
-    explorer.explore(5)
-    return explorer.run_manifest()
+    request = ExplorationRequest.single(trace, budget=5, recorder=recorder)
+    return request_manifest(request, explore_request(request))
 
 
 class TestEnvironmentInfo:
@@ -81,6 +80,7 @@ class TestRunManifest:
         assert manifest.trace["n"] == 400
         assert manifest.engine == ("vectorized" if numpy_available() else "serial")
         assert manifest.requested_engine == "auto"
+        assert manifest.options == {"mode": "single", "prelude": "auto"}
 
     def test_memory_sampling_lands_in_manifest(self):
         manifest = _explored_manifest(memory=True)
