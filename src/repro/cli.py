@@ -29,6 +29,13 @@ Subcommands::
     repro serve [--port P] [--workers W]   exploration daemon (HTTP/JSON)
     repro submit TRACE --budget K          send a request to the daemon
     repro stream TRACE --budget K          chunked/out-of-core exploration
+    repro sweep SPEC [--plan]              benchmark farm over a sweep spec
+
+Each subcommand is one row of the command table (:func:`_commands`):
+its name, its help, the flag groups it takes and its handler.  A
+handler reads nothing but the parsed ``args``.  :func:`main` runs it and
+turns an ``OSError`` or ``ValueError`` into ``<command> failed:
+<message>`` on stderr with exit code 1.
 """
 
 from __future__ import annotations
@@ -37,75 +44,66 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.analysis.tables import (
-    format_table,
-    trace_stats_table,
-)
 from repro.cache.config import CacheConfig, ReplacementKind
 from repro.cache.simulator import simulate_trace
 from repro.core.bcat import build_bcat
 from repro.core.explorer import AnalyticalCacheExplorer
 from repro.core.mrct import build_mrct, mrct_as_display_table
 from repro.core.zerosets import build_zero_one_sets
-from repro.explore.compare import compare_methods
-from repro.explore.space import DesignSpace
-from repro.trace.io import read_trace, write_trace
+from repro.trace.io import DEFAULT_CHUNK_REFS, read_trace, write_trace
 from repro.trace.stats import compute_statistics
 from repro.trace.strip import strip_trace
 from repro.trace.trace import Trace
 
+# -- shared helpers -------------------------------------------------------------
 
-def _cmd_workloads(args: argparse.Namespace) -> int:
-    from repro.workloads import list_workloads, run_workload_by_name
 
-    rows = []
-    for name in list_workloads(include_extras=args.extras):
-        run = run_workload_by_name(name, scale=args.scale)
-        rows.append(
-            [
-                name,
-                run.machine.instructions_executed,
-                len(run.instruction_trace),
-                len(run.data_trace),
-                f"{run.checksum:#010x}",
-                "ok" if run.verified else "MISMATCH",
-            ]
-        )
-    print(
-        format_table(
-            ["Benchmark", "Instructions", "I-trace N", "D-trace N", "Checksum", "Verify"],
-            rows,
-            title=f"PowerStone-style workloads (scale={args.scale})",
-        )
+def _print_table(headers, rows, title: str = "") -> None:
+    """Print one aligned text table (:func:`repro.analysis.tables.format_table`)."""
+    from repro.analysis.tables import format_table
+
+    print(format_table(headers, rows, title=title))
+
+
+def _write(
+    path: str, text: str, what: Optional[str] = None, stdout: bool = False
+) -> None:
+    """Write ``text`` to ``path``; say ``wrote {what} to {path}`` if ``what`` is set.
+
+    The note goes to stderr, or to stdout with ``stdout=True`` (the
+    commands whose only output is that file).
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    if what is not None:
+        print(f"wrote {what} to {path}", file=sys.stdout if stdout else sys.stderr)
+
+
+def _service_manifest(
+    recorder, section: str, counters: dict, name: str, n: int, **fields
+) -> str:
+    """The run-manifest JSON of a verify, serve or sweep run.
+
+    Such a run has no one trace, so the manifest's trace block carries
+    no unique count or address width; ``counters`` land in the
+    manifest's ``section`` (``verify``/``serve``/``sweep``).
+    """
+    from repro.obs import RunManifest
+
+    manifest = RunManifest.from_recorder(
+        recorder,
+        trace={"name": name, "n": n, "n_unique": None, "address_bits": 0},
+        **fields,
     )
-    return 0
+    setattr(manifest, section, counters)
+    return manifest.to_json() + "\n"
 
 
-def _cmd_emit(args: argparse.Namespace) -> int:
-    from repro.workloads import run_workload_by_name
-
-    run = run_workload_by_name(args.name, scale=args.scale)
-    if args.kind == "inst":
-        trace = run.instruction_trace
-    elif args.kind == "data":
-        trace = run.data_trace
-    else:
-        trace = run.machine.combined_trace(f"{args.name}.unified")
-    write_trace(trace, args.output)
-    print(f"wrote {len(trace)} references to {args.output}")
-    return 0
-
-
-def _cmd_stats(args: argparse.Namespace) -> int:
-    stats = [compute_statistics(read_trace(path)) for path in args.traces]
-    print(trace_stats_table(stats))
-    return 0
-
-
-def _budget_for(args: argparse.Namespace, explorer: AnalyticalCacheExplorer) -> int:
+def _budget(args: argparse.Namespace, trace: Trace) -> int:
+    """K from ``--budget K``, or ``--percent P`` of ``trace``'s max misses."""
     if args.budget is not None:
         return args.budget
-    return explorer.statistics.budget(args.percent)
+    return compute_statistics(trace).budget(args.percent)
 
 
 def _resolve_store(args: argparse.Namespace):
@@ -127,52 +125,6 @@ def _resolve_store(args: argparse.Namespace):
     from repro.store import ArtifactStore
 
     return ArtifactStore(cache_dir)
-
-
-def _add_cache_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="artifact store directory (warm-starts repeated runs; "
-        "REPRO_CACHE_DIR also enables it)",
-    )
-    p.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore any artifact store, even if REPRO_CACHE_DIR is set",
-    )
-
-
-def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
-    """The uniform scenario flags, grouped in one help section."""
-    from repro.core import engines as _engines
-    from repro.scenario import COST_MODELS
-
-    group = p.add_argument_group(
-        "scenario options",
-        "policy-aware exploration beyond the paper's fixed point "
-        "(LRU replacement, single level, no cost model)",
-    )
-    group.add_argument(
-        "--policy",
-        default="lru",
-        choices=list(_engines.policy_names()),
-        help="replacement policy to explore under (default: lru)",
-    )
-    group.add_argument(
-        "--l2-depth",
-        type=int,
-        default=None,
-        metavar="D",
-        help="also explore a second cache level: the L1 winner's miss "
-        "stream is re-explored with depths bounded by this power of two",
-    )
-    group.add_argument(
-        "--cost-model",
-        default=None,
-        choices=list(COST_MODELS),
-        help="rank each budget's instances by hardware cost",
-    )
 
 
 def _scenario_from_args(args: argparse.Namespace):
@@ -199,17 +151,15 @@ def _print_scenario_extras(extras: dict) -> None:
                 [i["depth"], i["associativity"], i["size_words"], i["misses"]]
                 for i in entry["result"]["instances"]
             ]
-            print(
-                format_table(
-                    ["Depth D", "Assoc A", "Size (words)", "Misses"],
-                    rows,
-                    title=(
-                        f"L2 instances behind L1 "
-                        f"(D={entry['l1']['depth']}, "
-                        f"A={entry['l1']['associativity']}) "
-                        f"at K={entry['budget']}"
-                    ),
-                )
+            _print_table(
+                ["Depth D", "Assoc A", "Size (words)", "Misses"],
+                rows,
+                title=(
+                    f"L2 instances behind L1 "
+                    f"(D={entry['l1']['depth']}, "
+                    f"A={entry['l1']['associativity']}) "
+                    f"at K={entry['budget']}"
+                ),
             )
     cost = extras.get("cost")
     if cost:
@@ -224,15 +174,10 @@ def _print_scenario_extras(extras: dict) -> None:
                 ]
                 for d in ranking["designs"]
             ]
-            print(
-                format_table(
-                    ["Depth D", "Assoc A", "Size (words)", "Misses", "Cost"],
-                    rows,
-                    title=(
-                        f"cost ranking ({cost['model']}) "
-                        f"at K={ranking['budget']}"
-                    ),
-                )
+            _print_table(
+                ["Depth D", "Assoc A", "Size (words)", "Misses", "Cost"],
+                rows,
+                title=f"cost ranking ({cost['model']}) at K={ranking['budget']}",
             )
 
 
@@ -247,24 +192,20 @@ def _print_report(report, title: Optional[str] = None) -> None:
             [inst.depth, inst.associativity, inst.size_words, misses]
             for inst, misses in zip(result.instances, result.misses)
         ]
-        print(
-            format_table(
-                ["Depth D", "Assoc A", "Size (words)", "Misses"],
-                rows,
-                title=title or f"optimal instances at K={result.budget}",
-            )
+        _print_table(
+            ["Depth D", "Assoc A", "Size (words)", "Misses"],
+            rows,
+            title=title or f"optimal instances at K={result.budget}",
         )
     for multi in report.multi_results:
         rows = [
             [inst.depth, inst.associativity, inst.size_words]
             for inst in multi.instances
         ]
-        print(
-            format_table(
-                ["Depth D", "Assoc A", "Size (words)"],
-                rows,
-                title=f"set instances at K={multi.budget}",
-            )
+        _print_table(
+            ["Depth D", "Assoc A", "Size (words)"],
+            rows,
+            title=f"set instances at K={multi.budget}",
         )
     for sweep in report.line_sweeps:
         rows = [
@@ -276,26 +217,92 @@ def _print_report(report, title: Optional[str] = None) -> None:
             ]
             for point in sweep.instances
         ]
-        print(
-            format_table(
-                ["Line", "Depth", "Assoc", "Misses"],
-                rows,
-                title=f"line-size sweep at K={sweep.budget}",
-            )
+        _print_table(
+            ["Line", "Depth", "Assoc", "Misses"],
+            rows,
+            title=f"line-size sweep at K={sweep.budget}",
         )
     if report.scenario is not None:
         _print_scenario_extras(report.scenario)
+
+
+def _parse_time_budget(text: Optional[str]) -> Optional[float]:
+    """Parse a wall-clock budget: ``"90"``, ``"60s"``, ``"2m"``, ``"500ms"``."""
+    if text is None:
+        return None
+    raw = text.strip().lower()
+    scale = 1.0
+    for suffix, factor in (("ms", 0.001), ("s", 1.0), ("m", 60.0), ("h", 3600.0)):
+        if raw.endswith(suffix):
+            raw = raw[: -len(suffix)]
+            scale = factor
+            break
+    try:
+        value = float(raw) * scale
+    except ValueError:
+        raise SystemExit(
+            f"invalid time budget {text!r}; examples: 90, 60s, 2m"
+        )
+    if value <= 0:
+        raise SystemExit(f"time budget must be positive, got {text!r}")
+    return value
+
+
+# -- handlers -------------------------------------------------------------------
+
+
+def _cmd_workloads(args: argparse.Namespace) -> int:
+    from repro.workloads import list_workloads, run_workload_by_name
+
+    rows = []
+    for name in list_workloads(include_extras=args.extras):
+        run = run_workload_by_name(name, scale=args.scale)
+        rows.append(
+            [
+                name,
+                run.machine.instructions_executed,
+                len(run.instruction_trace),
+                len(run.data_trace),
+                f"{run.checksum:#010x}",
+                "ok" if run.verified else "MISMATCH",
+            ]
+        )
+    _print_table(
+        ["Benchmark", "Instructions", "I-trace N", "D-trace N", "Checksum", "Verify"],
+        rows,
+        title=f"PowerStone-style workloads (scale={args.scale})",
+    )
+    return 0
+
+
+def _cmd_emit(args: argparse.Namespace) -> int:
+    from repro.workloads import run_workload_by_name
+
+    run = run_workload_by_name(args.name, scale=args.scale)
+    if args.kind == "inst":
+        trace = run.instruction_trace
+    elif args.kind == "data":
+        trace = run.data_trace
+    else:
+        trace = run.machine.combined_trace(f"{args.name}.unified")
+    write_trace(trace, args.output)
+    print(f"wrote {len(trace)} references to {args.output}")
+    return 0
+
+
+def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.analysis.tables import trace_stats_table
+
+    stats = [compute_statistics(read_trace(path)) for path in args.traces]
+    print(trace_stats_table(stats))
+    return 0
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     from repro.core.request import ExplorationRequest, explore_request, request_manifest
     from repro.obs import NULL_RECORDER, Recorder
 
-    try:
-        spec = _scenario_from_args(args)
-    except ValueError as exc:
-        print(f"explore failed: {exc}", file=sys.stderr)
-        return 1
+    spec = _scenario_from_args(args)
     recorder = Recorder(memory=True) if args.profile else NULL_RECORDER
     with recorder.phase("load-trace"):
         trace = read_trace(args.trace)
@@ -310,10 +317,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     report = explore_request(request)
     if args.profile:
         manifest = request_manifest(request, report)
-        with open(args.profile, "w", encoding="utf-8") as fh:
-            fh.write(manifest.to_json())
-            fh.write("\n")
-        print(f"wrote run manifest to {args.profile}", file=sys.stderr)
+        _write(args.profile, manifest.to_json() + "\n", "run manifest")
     if args.json:
         import json
 
@@ -367,10 +371,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             )
             print(f"memory: {pairs}")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(manifest.to_json())
-            fh.write("\n")
-        print(f"wrote run manifest to {args.output}", file=sys.stderr)
+        _write(args.output, manifest.to_json() + "\n", "run manifest")
     return 0
 
 
@@ -386,12 +387,10 @@ def _cmd_engines(args: argparse.Namespace) -> int:
         ]
         for spec in (engines.get_engine(n) for n in engines.engine_names(False))
     ]
-    print(
-        format_table(
-            ["Engine", "Available", "Summary", "Best for"],
-            rows,
-            title="histogram engines (all bit-identical)",
-        )
+    _print_table(
+        ["Engine", "Available", "Summary", "Best for"],
+        rows,
+        title="histogram engines (all bit-identical)",
     )
     print("auto: 'vectorized' when NumPy is importable, else 'serial'")
     aliases = ", ".join(
@@ -401,72 +400,45 @@ def _cmd_engines(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_time_budget(text: Optional[str]) -> Optional[float]:
-    """Parse a wall-clock budget: ``"90"``, ``"60s"``, ``"2m"``, ``"500ms"``."""
-    if text is None:
-        return None
-    raw = text.strip().lower()
-    scale = 1.0
-    for suffix, factor in (("ms", 0.001), ("s", 1.0), ("m", 60.0), ("h", 3600.0)):
-        if raw.endswith(suffix):
-            raw = raw[: -len(suffix)]
-            scale = factor
-            break
-    try:
-        value = float(raw) * scale
-    except ValueError:
-        raise SystemExit(
-            f"invalid time budget {text!r}; examples: 90, 60s, 2m"
-        )
-    if value <= 0:
-        raise SystemExit(f"time budget must be positive, got {text!r}")
-    return value
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
+    from repro.obs import NULL_RECORDER, Recorder
     from repro.verify import VerifyConfig, default_corpus_dir, run_verify
 
-    engines = tuple(args.engines) if args.engines else None
-    preludes = tuple(args.preludes) if args.preludes else None
     max_traces = args.max_traces
     if args.smoke and max_traces is None and args.budget is None:
         # PR-lane preset: the full grid over a few traces.
         max_traces = 8
-    corpus_dir = args.corpus_dir
-    if corpus_dir is None and not args.no_corpus:
-        corpus_dir = default_corpus_dir()
+    corpus_dir = None
+    if not args.no_corpus:
+        corpus_dir = args.corpus_dir
+        if corpus_dir is None:
+            corpus_dir = default_corpus_dir()
     config = VerifyConfig(
         seed=args.seed,
         max_traces=max_traces,
         time_budget_s=_parse_time_budget(args.budget),
-        engines=engines,
-        preludes=preludes,
+        engines=tuple(args.engines) if args.engines else None,
+        preludes=tuple(args.preludes) if args.preludes else None,
         include_warm=not args.no_warm,
         laws=args.laws,
         policies=tuple(args.policies) if args.policies else (),
-        corpus_dir=None if args.no_corpus else corpus_dir,
+        corpus_dir=corpus_dir,
         shrink=not args.no_shrink,
         fail_fast=args.fail_fast,
     )
-    from repro.obs.recorder import NULL_RECORDER
-
-    recorder = None
-    if args.profile:
-        from repro.obs import Recorder
-
-        recorder = Recorder()
-    report = run_verify(
-        config, recorder=recorder if recorder is not None else NULL_RECORDER
-    )
-    import json
-
+    recorder = Recorder() if args.profile else NULL_RECORDER
+    report = run_verify(config, recorder=recorder)
+    document = json.dumps(report.to_json_dict(), indent=2)
     if args.json:
-        print(json.dumps(report.to_json_dict(), indent=2))
+        print(document)
     else:
+        corpus_note = "" if corpus_dir is not None else " (no on-disk corpus)"
         print(
             f"verify: {report.traces} traces x {len(report.grid)} grid "
             f"cells ({report.cells} cell runs), "
-            f"{report.corpus_replayed} corpus entries replayed, "
+            f"{report.corpus_replayed} replay entries{corpus_note}, "
             f"{report.elapsed_s:.1f}s ({report.stopped_by})"
         )
         if report.ok:
@@ -484,30 +456,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"{failure.detail}{shrunk}{saved}"
             )
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(report.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-        print(f"wrote verify report to {args.output}", file=sys.stderr)
-    if args.profile and recorder is not None:
-        from repro.obs import RunManifest
-
-        manifest = RunManifest.from_recorder(
+        _write(args.output, document + "\n", "verify report")
+    if args.profile:
+        manifest = _service_manifest(
             recorder,
+            "verify",
+            report.counters(),
+            name="verify-corpus",
+            n=report.traces,
             engine="verify-grid",
             requested_engine="verify-grid",
             options={"seed": args.seed, "laws": args.laws},
-            trace={
-                "name": "verify-corpus",
-                "n": report.traces,
-                "n_unique": None,
-                "address_bits": 0,
-            },
         )
-        manifest.verify = report.counters()
-        with open(args.profile, "w", encoding="utf-8") as fh:
-            fh.write(manifest.to_json())
-            fh.write("\n")
-        print(f"wrote run manifest to {args.profile}", file=sys.stderr)
+        _write(args.profile, manifest, "run manifest")
     return 0 if report.ok else 1
 
 
@@ -568,14 +529,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from repro.explore.compare import compare_methods
+    from repro.explore.space import DesignSpace
+
     trace = read_trace(args.trace)
     space = DesignSpace(
         min_depth=2,
         max_depth=args.max_depth or (1 << max(1, trace.address_bits - 1)),
         max_associativity=args.max_assoc,
     )
-    explorer = AnalyticalCacheExplorer(trace)
-    budget = _budget_for(args, explorer)
+    budget = _budget(args, trace)
     comparison = compare_methods(trace, budget, space)
     print(f"budget K={budget}; agreement: {comparison.agreement()}")
     for problem in comparison.disagreements():
@@ -593,7 +556,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             f"{comparison.heuristic.elapsed_seconds:.4f}",
         ],
     ]
-    print(format_table(["Method", "Simulations", "Seconds"], rows))
+    _print_table(["Method", "Simulations", "Seconds"], rows)
     print(
         f"speedup vs exhaustive: {comparison.speedup_vs_exhaustive:.1f}x, "
         f"vs heuristic: {comparison.speedup_vs_heuristic:.1f}x"
@@ -602,13 +565,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_linesize(args: argparse.Namespace) -> int:
-    from repro.core.linesize import LineSizeExplorer
+    from repro.core.request import ExplorationRequest, explore_request
 
     trace = read_trace(args.trace)
-    explorer = LineSizeExplorer(trace, line_sizes=args.lines)
-    stats_explorer = AnalyticalCacheExplorer(trace)
-    budget = _budget_for(args, stats_explorer)
-    sweep = explorer.explore(budget)
+    request = ExplorationRequest.line_sweep(
+        trace, _budget(args, trace), line_sizes=args.lines
+    )
+    sweep = explore_request(request).line_sweeps[0]
     rows = [
         [
             point.line_words,
@@ -620,12 +583,10 @@ def _cmd_linesize(args: argparse.Namespace) -> int:
         ]
         for point in sweep.instances
     ]
-    print(
-        format_table(
-            ["Line", "Depth", "Assoc", "Words", "Misses", "Traffic"],
-            rows,
-            title=f"line-size sweep at K={budget}",
-        )
+    _print_table(
+        ["Line", "Depth", "Assoc", "Words", "Misses", "Traffic"],
+        rows,
+        title=f"line-size sweep at K={sweep.budget}",
     )
     print(f"smallest: {sweep.smallest()}  least traffic: {sweep.least_traffic()}")
     return 0
@@ -647,12 +608,14 @@ def _cmd_compact(args: argparse.Namespace) -> int:
 
 
 def _cmd_robustness(args: argparse.Namespace) -> int:
+    from repro.core.request import ExplorationRequest, explore_request
     from repro.explore.policies import policy_robustness
 
     trace = read_trace(args.trace)
-    explorer = AnalyticalCacheExplorer(trace)
-    budget = _budget_for(args, explorer)
-    result = explorer.explore(budget)
+    request = ExplorationRequest.single(
+        trace, budget=args.budget, percent=args.percent
+    )
+    result = explore_request(request).results[0]
     records = policy_robustness(trace, result)
     rows = []
     for record in records:
@@ -662,18 +625,16 @@ def _cmd_robustness(args: argparse.Namespace) -> int:
             if not outcome.applicable:
                 cells.append("n/a")
             else:
-                marker = "" if outcome.non_cold_misses <= budget else " !"
+                marker = "" if outcome.non_cold_misses <= result.budget else " !"
                 cells.append(f"{outcome.non_cold_misses}{marker}")
         rows.append(cells)
     policies = sorted(
         records[0].outcomes, key=lambda p: p.value
     ) if records else []
-    print(
-        format_table(
-            ["Instance", "LRU"] + [p.value for p in policies],
-            rows,
-            title=f"non-cold misses per policy at K={budget} (! = over budget)",
-        )
+    _print_table(
+        ["Instance", "LRU"] + [p.value for p in policies],
+        rows,
+        title=f"non-cold misses per policy at K={result.budget} (! = over budget)",
     )
     return 0
 
@@ -683,7 +644,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
     trace = read_trace(args.trace)
     explorer = AnalyticalCacheExplorer(trace)
-    budget = _budget_for(args, explorer)
+    budget = _budget(args, trace)
     result = explorer.explore(budget)
     costed = cost_exploration(explorer, result, address_bits=trace.address_bits)
     front = cost_pareto(costed)
@@ -698,12 +659,10 @@ def _cmd_cost(args: argparse.Namespace) -> int:
         ]
         for c in costed
     ]
-    print(
-        format_table(
-            ["Instance", "Area (bits)", "Run energy", "Latency", "Misses", "Pareto"],
-            rows,
-            title=f"hardware cost of K={budget} solutions (normalized units)",
-        )
+    _print_table(
+        ["Instance", "Area (bits)", "Run energy", "Latency", "Misses", "Pareto"],
+        rows,
+        title=f"hardware cost of K={budget} solutions (normalized units)",
     )
     print(f"min energy: {cheapest(costed).instance}")
     return 0
@@ -713,44 +672,37 @@ def _cmd_phases(args: argparse.Namespace) -> int:
     from repro.explore.phases import explore_phases
 
     trace = read_trace(args.trace)
-    explorer = AnalyticalCacheExplorer(trace)
-    budget = _budget_for(args, explorer)
+    budget = _budget(args, trace)
     outcome = explore_phases(trace, budget, phase_count=args.phases)
-    depths = sorted(outcome.static_result.as_dict())
+    static = outcome.static_result.as_dict()
     rows = []
-    for depth in depths:
+    for depth in sorted(static):
         per_phase = outcome.phase_instances(depth)
         if any(a is None for a in per_phase):
             continue
         rows.append(
             [
                 depth,
-                outcome.static_result.as_dict()[depth],
+                static[depth],
                 "/".join(str(a) for a in per_phase),
                 outcome.reconfiguration_benefit(depth),
             ]
         )
-    print(
-        format_table(
-            ["Depth", "Static A", "Per-phase A", "Words saved"],
-            rows,
-            title=f"phase exploration: {args.phases} phases, K={budget} each",
-        )
+    _print_table(
+        ["Depth", "Static A", "Per-phase A", "Words saved"],
+        rows,
+        title=f"phase exploration: {args.phases} phases, K={budget} each",
     )
     return 0
 
 
 def _cmd_hierarchy(args: argparse.Namespace) -> int:
     from repro.explore.hierarchy import HierarchyExplorer
-    from repro.trace.stats import compute_statistics
 
     trace = read_trace(args.trace)
     l1 = CacheConfig(depth=args.l1_depth, associativity=args.l1_assoc)
     explorer = HierarchyExplorer(trace, l1)
-    if args.budget is not None:
-        budget = args.budget
-    else:
-        budget = compute_statistics(explorer.miss_trace).budget(args.percent)
+    budget = _budget(args, explorer.miss_trace)
     outcome = explorer.explore(budget)
     print(
         f"L1 ({l1.describe()}): {outcome.l1_result.misses} misses "
@@ -763,12 +715,10 @@ def _cmd_hierarchy(args: argparse.Namespace) -> int:
             outcome.l2_result.instances, outcome.l2_result.misses
         )
     ]
-    print(
-        format_table(
-            ["L2 depth", "L2 assoc", "L2 misses"],
-            rows,
-            title=f"optimal L2 instances at K={budget}",
-        )
+    _print_table(
+        ["L2 depth", "L2 assoc", "L2 misses"],
+        rows,
+        title=f"optimal L2 instances at K={budget}",
     )
     return 0
 
@@ -787,21 +737,19 @@ def _cmd_conflicts(args: argparse.Namespace) -> int:
             "the cache is conflict-free for this trace"
         )
         return 0
-    print(
-        format_table(
-            ["Row", "Misses", "Refs", "Addresses"],
+    _print_table(
+        ["Row", "Misses", "Refs", "Addresses"],
+        [
             [
-                [
-                    r.row_index,
-                    r.misses,
-                    r.occupancy,
-                    ", ".join(f"{a:#x}" for a in r.addresses[:6])
-                    + ("..." if r.occupancy > 6 else ""),
-                ]
-                for r in rows
-            ],
-            title=f"top conflicting rows at D={args.depth} A={args.assoc}",
-        )
+                r.row_index,
+                r.misses,
+                r.occupancy,
+                ", ".join(f"{a:#x}" for a in r.addresses[:6])
+                + ("..." if r.occupancy > 6 else ""),
+            ]
+            for r in rows
+        ],
+        title=f"top conflicting rows at D={args.depth} A={args.assoc}",
     )
     return 0
 
@@ -824,9 +772,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         points = capacity_curve(explorer, max_capacity=max_capacity)
         csv_text = curve_to_csv(points, x_name="capacity_words")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        print(f"wrote {len(points)} points to {args.output}")
+        _write(args.output, csv_text, f"{len(points)} points", stdout=True)
     else:
         print(csv_text, end="")
     return 0
@@ -854,9 +800,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
     report = generate_report(trace, focus_percent=args.percent)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(report)
-        print(f"wrote report to {args.output}")
+        _write(args.output, report, "report", stdout=True)
     else:
         print(report)
     return 0
@@ -930,10 +874,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     asyncio.run(run())
     if args.manifest_out:
-        from repro.obs import RunManifest
-
-        manifest = RunManifest.from_recorder(
+        manifest = _service_manifest(
             server.recorder,
+            "serve",
+            server.counters(),
+            name="serve",
+            n=0,
             engine="serve",
             requested_engine="serve",
             options={
@@ -942,13 +888,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "host": args.host,
                 "port": args.port,
             },
-            trace={"name": "serve", "n": 0, "n_unique": None, "address_bits": 0},
         )
-        manifest.serve = server.counters()
-        with open(args.manifest_out, "w", encoding="utf-8") as fh:
-            fh.write(manifest.to_json())
-            fh.write("\n")
-        print(f"wrote serve manifest to {args.manifest_out}", file=sys.stderr)
+        _write(args.manifest_out, manifest, "serve manifest")
     print("repro serve: stopped", file=sys.stderr)
     return 0
 
@@ -957,18 +898,13 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.core.request import ExplorationRequest
     from repro.serve import ServeClient, ServeError
 
-    traces = tuple(read_trace(path) for path in args.traces)
-    try:
-        request = ExplorationRequest(
-            traces=traces,
-            mode=args.mode,
-            budgets=tuple(args.budget) if args.budget else (),
-            percents=tuple(args.percent) if args.percent else (),
-            scenario=_scenario_from_args(args),
-        )
-    except ValueError as exc:
-        print(f"submit failed: {exc}", file=sys.stderr)
-        return 1
+    request = ExplorationRequest(
+        traces=tuple(read_trace(path) for path in args.traces),
+        mode=args.mode,
+        budgets=tuple(args.budget) if args.budget else (),
+        percents=tuple(args.percent) if args.percent else (),
+        scenario=_scenario_from_args(args),
+    )
     client = ServeClient(args.host, args.port, timeout=args.timeout)
     try:
         report = client.explore(request)
@@ -1005,23 +941,19 @@ def _cmd_stream_scenario(args: argparse.Namespace, spec) -> int:
         f"materializing {args.trace}",
         file=sys.stderr,
     )
-    try:
-        trace = read_trace(args.trace, address_bits=args.address_bits)
-        if validate_max_level(args.max_level) is not None:
-            # The streaming session's bound: no deeper than the address.
-            level = min(args.max_level, trace.address_bits)
-            spec = spec.replace(max_depth=1 << level)
-        report = explore_request(
-            ExplorationRequest.single(
-                trace,
-                budgets=args.budget or [0],
-                store=_resolve_store(args),
-                scenario=spec,
-            )
+    trace = read_trace(args.trace, address_bits=args.address_bits)
+    if validate_max_level(args.max_level) is not None:
+        # The streaming session's bound: no deeper than the address.
+        level = min(args.max_level, trace.address_bits)
+        spec = spec.replace(max_depth=1 << level)
+    report = explore_request(
+        ExplorationRequest.single(
+            trace,
+            budgets=args.budget or [0],
+            store=_resolve_store(args),
+            scenario=spec,
         )
-    except (OSError, ValueError) as exc:
-        print(f"stream failed: {exc}", file=sys.stderr)
-        return 1
+    )
 
     if args.json:
         import json
@@ -1056,71 +988,53 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     from repro.stream import TraceSession
     from repro.trace.io import iter_trace_chunks, probe_address_bits
 
-    try:
-        spec = _scenario_from_args(args)
-    except ValueError as exc:
-        print(f"stream failed: {exc}", file=sys.stderr)
-        return 1
+    spec = _scenario_from_args(args)
     if not spec.is_baseline():
         return _cmd_stream_scenario(args, spec)
 
-    try:
-        bits = probe_address_bits(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"stream failed: {exc}", file=sys.stderr)
-        return 1
+    bits = probe_address_bits(args.trace)
     if args.address_bits is not None:
         bits = args.address_bits
     if bits is None:
-        print(
-            f"stream failed: cannot probe the address width of "
-            f"{args.trace}; pass --address-bits",
-            file=sys.stderr,
+        raise ValueError(
+            f"cannot probe the address width of {args.trace}; "
+            "pass --address-bits"
         )
-        return 1
     if bits < 1:
-        print(
-            f"stream failed: address_bits must be >= 1, got {bits}",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"address_bits must be >= 1, got {bits}")
 
     store = _resolve_store(args)
     budgets = args.budget if args.budget else [0]
 
     session = None
     resumed = False
-    try:
-        if store is not None:
-            # Cheap digest-only pre-pass: decide whether a checkpoint
-            # for the full sequence already exists before ingesting.
-            digest = StreamDigest(bits)
-            for chunk in iter_trace_chunks(args.trace, args.chunk_refs):
-                digest.append(chunk)
-            session = TraceSession.resume(
-                store,
-                digest.content_digest,
-                max_level=args.max_level,
-                name=args.trace,
-            )
-            resumed = session is not None
-        if session is None:
-            session = TraceSession(
-                bits,
-                max_level=args.max_level,
-                store=store,
-                name=args.trace,
-            )
-            for chunk in iter_trace_chunks(args.trace, args.chunk_refs):
-                session.append(chunk)
-            if store is not None:
-                session.checkpoint()
-        results = session.explore_many(
-            budgets, include_depth_one=args.include_depth_one
+    if store is not None:
+        # Cheap digest-only pre-pass: decide whether a checkpoint
+        # for the full sequence already exists before ingesting.
+        digest = StreamDigest(bits)
+        for chunk in iter_trace_chunks(args.trace, args.chunk_refs):
+            digest.append(chunk)
+        session = TraceSession.resume(
+            store,
+            digest.content_digest,
+            max_level=args.max_level,
+            name=args.trace,
         )
-    except (OSError, ValueError) as exc:
-        print(f"stream failed: {exc}", file=sys.stderr)
-        return 1
+        resumed = session is not None
+    if session is None:
+        session = TraceSession(
+            bits,
+            max_level=args.max_level,
+            store=store,
+            name=args.trace,
+        )
+        for chunk in iter_trace_chunks(args.trace, args.chunk_refs):
+            session.append(chunk)
+        if store is not None:
+            session.checkpoint()
+    results = session.explore_many(
+        budgets, include_depth_one=args.include_depth_one
+    )
 
     if args.json:
         import json
@@ -1159,12 +1073,10 @@ def _cmd_stream(args: argparse.Namespace) -> int:
             [inst.depth, inst.associativity, inst.size_words]
             for inst in results[budget]
         ]
-        print(
-            format_table(
-                ["Depth D", "Assoc A", "Size (words)"],
-                rows,
-                title=f"optimal instances at K={budget}",
-            )
+        _print_table(
+            ["Depth D", "Assoc A", "Size (words)"],
+            rows,
+            title=f"optimal instances at K={budget}",
         )
     return 0
 
@@ -1174,7 +1086,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     import os
     import tempfile
 
-    from repro.obs import Recorder, RunManifest
+    from repro.obs import Recorder
     from repro.sweep import (
         SweepScheduler,
         build_report,
@@ -1184,11 +1096,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     spec = load_spec(args.spec)
-    overrides = {}
     if args.tolerance is not None:
-        overrides["tolerance"] = args.tolerance
-    if overrides:
-        spec = spec.replace(**overrides)
+        spec = spec.replace(tolerance=args.tolerance)
     plan = plan_sweep(spec)
 
     if args.plan:
@@ -1222,15 +1131,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     report = build_report(plan, run, baseline_dir=args.baseline_dir)
 
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2)
-            handle.write("\n")
+        _write(args.output, json.dumps(report, indent=2) + "\n")
     if args.markdown:
-        with open(args.markdown, "w", encoding="utf-8") as handle:
-            handle.write(render_markdown(report))
+        _write(args.markdown, render_markdown(report))
     if args.manifest_out:
-        manifest = RunManifest.from_recorder(
+        manifest = _service_manifest(
             recorder,
+            "sweep",
+            dict(run.counters),
+            name=spec.name,
+            n=len(plan.cells),
             engine="sweep",
             requested_engine=args.pool,
             options={
@@ -1238,22 +1148,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "timeout_s": scheduler.timeout_s,
                 "retries": scheduler.retries,
             },
-            trace={
-                "name": spec.name,
-                "n": len(plan.cells),
-                "n_unique": None,
-                "address_bits": 0,
-            },
         )
-        manifest.sweep = dict(run.counters)
-        with open(args.manifest_out, "w", encoding="utf-8") as handle:
-            handle.write(manifest.to_json())
-            handle.write("\n")
+        _write(args.manifest_out, manifest)
 
+    summary = report["summary"]
     if args.json:
         print(json.dumps(report, indent=2))
     else:
-        summary = report["summary"]
         print(
             f"sweep {spec.name}: {summary['total']} cells in "
             f"{report['wall_s']:.2f}s — {summary['ok']} ok, "
@@ -1273,33 +1174,404 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"({entry['ratio']:.2f}x)"
             )
 
-    if summary_failed(report):
+    if summary["quarantined"] or summary["skipped"]:
         return 1
     if args.fail_on_regression and report["regressions"]:
         return 1
     return 0
 
 
-def summary_failed(report: dict) -> bool:
-    """True when any sweep cell failed to produce a result."""
-    summary = report["summary"]
-    return bool(summary["quarantined"] or summary["skipped"])
+# -- flag groups ----------------------------------------------------------------
+#
+# A flag group is a callable that adds its flags to one subparser.  The
+# groups several subcommands share are defined once, here; a flag only
+# one subcommand takes is an ``_arg(...)`` in that command's row.
+
+
+def _arg(*names, **kwargs):
+    """One ``add_argument(*names, **kwargs)``, deferred to parser build."""
+    return lambda p: p.add_argument(*names, **kwargs)
+
+
+def _budget_flags(
+    required: bool = True,
+    percent_default: Optional[float] = None,
+    budget_help: str = "absolute miss budget K",
+    percent_help: str = "K as percent of max misses",
+):
+    """``--budget K`` or ``--percent P``, never both."""
+
+    def add(p: argparse.ArgumentParser) -> None:
+        group = p.add_mutually_exclusive_group(required=required)
+        group.add_argument("--budget", type=int, help=budget_help)
+        group.add_argument(
+            "--percent", type=float, default=percent_default, help=percent_help
+        )
+
+    return add
+
+
+def _json(help: str):
+    return _arg("--json", action="store_true", help=help)
+
+
+def _output(help: str, required: bool = False):
+    return _arg("-o", "--output", required=required, help=help)
+
+
+_TRACE = _arg("trace", help="trace file")
+_BUDGET = _budget_flags()
+_MAX_DEPTH = _arg("--max-depth", type=int, default=0, help="largest depth to report")
+_WORKLOAD = _arg("name", help="workload name (e.g. crc)")
+_SCALE = _arg("--scale", default="default", help="tiny/small/default/large")
+
+
+def _engine_flags(p: argparse.ArgumentParser) -> None:
+    """``--engine`` and ``--prelude``: which machinery answers."""
+    from repro.core import engines
+
+    p.add_argument(
+        "--engine",
+        default=engines.AUTO_ENGINE,
+        choices=sorted(set(engines.engine_names()) | set(engines.ALIASES)),
+        help="histogram engine (default: auto)",
+    )
+    p.add_argument(
+        "--prelude",
+        default="auto",
+        choices=list(engines.PRELUDE_MODES),
+        help="prelude builder: auto (fast is a synonym) runs the NumPy "
+        "kernels, or pure-Python fallbacks without NumPy; python runs "
+        "the paper-faithful builders (default: auto)",
+    )
+
+
+def _scenario_flags(p: argparse.ArgumentParser) -> None:
+    """The uniform scenario flags, grouped in one help section."""
+    from repro.core import engines
+    from repro.scenario import COST_MODELS
+
+    group = p.add_argument_group(
+        "scenario options",
+        "policy-aware exploration beyond the paper's fixed point "
+        "(LRU replacement, single level, no cost model)",
+    )
+    group.add_argument(
+        "--policy",
+        default="lru",
+        choices=list(engines.policy_names()),
+        help="replacement policy to explore under (default: lru)",
+    )
+    group.add_argument(
+        "--l2-depth",
+        type=int,
+        default=None,
+        metavar="D",
+        help="also explore a second cache level: the L1 winner's miss "
+        "stream is re-explored with depths bounded by this power of two",
+    )
+    group.add_argument(
+        "--cost-model",
+        default=None,
+        choices=list(COST_MODELS),
+        help="rank each budget's instances by hardware cost",
+    )
+
+
+def _cache_flags(p: argparse.ArgumentParser) -> None:
+    """``--cache-dir`` / ``--no-cache``: the opt-in artifact store."""
+    p.add_argument(
+        "--cache-dir",
+        metavar="DIR",
+        help="artifact store directory (warm-starts repeated runs; "
+        "REPRO_CACHE_DIR also enables it)",
+    )
+    p.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="ignore any artifact store, even if REPRO_CACHE_DIR is set",
+    )
+
+
+def _daemon_flags(host_help: str, port_help: str):
+    """``--host`` / ``--port`` of the daemon; ``{port}`` in help is the default."""
+
+    def add(p: argparse.ArgumentParser) -> None:
+        from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT
+
+        p.add_argument("--host", default=DEFAULT_HOST, help=host_help)
+        p.add_argument(
+            "--port",
+            type=int,
+            default=DEFAULT_PORT,
+            help=port_help.format(port=DEFAULT_PORT),
+        )
+
+    return add
+
+
+# -- the command table ----------------------------------------------------------
+
+
+def _commands():
+    """One ``(name, help, flag groups, handler)`` row per subcommand."""
+    from repro.core import engines
+    from repro.serve.pool import POOL_KINDS
+
+    return (
+        ("workloads", "run & verify the benchmark kernels", (
+            _SCALE,
+            _arg("--extras", action="store_true",
+                 help="include the PowerStone kernels beyond the paper's 12"),
+        ), _cmd_workloads),
+        ("emit", "write a workload trace to a file", (
+            _WORKLOAD,
+            _arg("--kind", choices=["inst", "data", "unified"], default="data"),
+            _SCALE,
+            _output("output trace file", required=True),
+        ), _cmd_emit),
+        ("stats", "trace statistics (paper Tables 5/6)", (
+            _arg("traces", nargs="+", help="trace files"),
+        ), _cmd_stats),
+        ("explore", "analytical exploration of a trace", (
+            _TRACE,
+            _BUDGET,
+            _MAX_DEPTH,
+            _json("emit machine-readable JSON"),
+            _engine_flags,
+            _arg("--profile", metavar="MANIFEST",
+                 help="record per-phase telemetry and write a run manifest JSON here"),
+            _scenario_flags,
+            _cache_flags,
+        ), _cmd_explore),
+        ("profile", "per-phase timing/memory telemetry for one run", (
+            _TRACE,
+            _budget_flags(
+                required=False,
+                percent_default=10.0,
+                percent_help="K as percent of max misses (default: 10)",
+            ),
+            _engine_flags,
+            _arg("--no-memory", action="store_true",
+                 help="skip tracemalloc sampling (pure timing run)"),
+            _json("print the manifest JSON instead of the phase tree"),
+            _output("also write the manifest JSON here"),
+            _cache_flags,
+        ), _cmd_profile),
+        ("engines", "list the histogram engines", (), _cmd_engines),
+        ("verify", "differential fuzzing oracle: engine x prelude x store grid "
+         "vs simulator + metamorphic invariants", (
+            _arg("--budget", metavar="TIME",
+                 help="wall-clock cap, e.g. 60s or 2m (default: anchors only)"),
+            _arg("--max-traces", type=int, help="stop after this many corpus traces"),
+            _arg("--seed", type=int, default=0, help="corpus seed"),
+            _arg("--engines", nargs="+", metavar="E",
+                 choices=sorted(
+                     set(engines.engine_names(False)) | set(engines.ALIASES)
+                 ),
+                 help="restrict the grid to these engines (default: all registered)"),
+            _arg("--preludes", nargs="+", metavar="P",
+                 choices=list(engines.PRELUDE_MODES),
+                 help="restrict the grid to these prelude modes (default: all)"),
+            _arg("--no-warm", action="store_true",
+                 help="skip the warm-store half of the grid"),
+            _arg("--laws", default="rotate", choices=["rotate", "all", "none"],
+                 help="metamorphic laws per trace: one (round-robin), all, or none"),
+            _arg("--policies", nargs="+", metavar="POLICY",
+                 choices=list(engines.policy_names()),
+                 help="also run the policy oracle for these replacement policies "
+                 "(policy engine vs simulator, every (D, A) cell)"),
+            _arg("--corpus-dir", metavar="DIR",
+                 help="failure corpus (replayed first, crashes persisted here; "
+                 "default: $REPRO_VERIFY_CORPUS or .repro-verify-corpus)"),
+            _arg("--no-corpus", action="store_true",
+                 help="neither replay nor persist an on-disk failure corpus"),
+            _arg("--no-shrink", action="store_true",
+                 help="persist failing traces unshrunk"),
+            _arg("--fail-fast", action="store_true", help="stop at the first failure"),
+            _arg("--smoke", action="store_true",
+                 help="PR-lane preset: the full 12-cell grid over 8 traces"),
+            _json("emit the JSON report to stdout"),
+            _output("also write the JSON report here"),
+            _arg("--profile", metavar="MANIFEST",
+                 help="write a run manifest with verify counters here"),
+        ), _cmd_verify),
+        ("cache", "manage the persistent artifact store", (
+            _arg("action", choices=["stats", "clear", "prune"],
+                 help="stats: summarize entries; clear: remove everything; "
+                 "prune: evict LRU entries down to --max-bytes"),
+            _arg("--cache-dir", metavar="DIR",
+                 help="store directory (default: REPRO_CACHE_DIR or the user "
+                 "cache dir)"),
+            _arg("--max-bytes", type=int, default=None,
+                 help="prune target size in bytes (prune only; default: the "
+                 "store's default cap)"),
+            _json("emit stats as JSON (stats only)"),
+        ), _cmd_cache),
+        ("simulate", "simulate one cache configuration", (
+            _TRACE,
+            _arg("--depth", type=int, required=True),
+            _arg("--assoc", type=int, required=True),
+            _arg("--line", type=int, default=1, help="line size in words"),
+            _arg("--replacement", default="lru",
+                 choices=[kind.value for kind in ReplacementKind]),
+        ), _cmd_simulate),
+        ("compare", "analytical vs traditional DSE", (
+            _TRACE,
+            _BUDGET,
+            _MAX_DEPTH,
+            _arg("--max-assoc", type=int, default=8),
+        ), _cmd_compare),
+        ("linesize", "line-size sweep (paper future work)", (
+            _TRACE,
+            _BUDGET,
+            _arg("--lines", type=int, nargs="+", default=[1, 2, 4, 8],
+                 help="line sizes in words (powers of two)"),
+        ), _cmd_linesize),
+        ("compact", "Puzak trace stripping [14][15]", (
+            _arg("trace", help="input trace file"),
+            _output("output trace file", required=True),
+            _arg("--filter-depth", type=int, default=2,
+                 help="direct-mapped filter depth (validity floor)"),
+        ), _cmd_compact),
+        ("robustness", "LRU instances under FIFO/PLRU/random", (
+            _TRACE,
+            _BUDGET,
+        ), _cmd_robustness),
+        ("cost", "CACTI-style cost ranking of solutions", (
+            _TRACE,
+            _BUDGET,
+        ), _cmd_cost),
+        ("phases", "per-phase optima vs static", (
+            _TRACE,
+            _BUDGET,
+            _arg("--phases", type=int, default=4, help="number of phases"),
+        ), _cmd_phases),
+        ("hierarchy", "explore L2 behind a fixed L1", (
+            _TRACE,
+            _budget_flags(
+                budget_help="L2 miss budget K",
+                percent_help="K as percent of L2's own max misses",
+            ),
+            _arg("--l1-depth", type=int, default=64),
+            _arg("--l1-assoc", type=int, default=1),
+        ), _cmd_hierarchy),
+        ("conflicts", "diagnose conflicting cache rows", (
+            _TRACE,
+            _arg("--depth", type=int, required=True),
+            _arg("--assoc", type=int, default=1),
+            _arg("--top", type=int, default=10),
+        ), _cmd_conflicts),
+        ("curves", "miss curves as CSV", (
+            _TRACE,
+            _arg("--depth", type=int, default=0,
+                 help="fixed depth: emit the associativity curve (default: "
+                 "capacity curve)"),
+            _arg("--max-capacity", type=int, default=0, help="capacity-curve ceiling"),
+            _output("write CSV to a file"),
+        ), _cmd_curves),
+        ("disasm", "disassemble a workload kernel", (
+            _WORKLOAD,
+            _SCALE,
+        ), _cmd_disasm),
+        ("report", "full markdown design report", (
+            _TRACE,
+            _output("write to a file instead of stdout"),
+            _arg("--percent", type=float, default=10.0,
+                 help="focus budget for sensitivity/cost sections"),
+        ), _cmd_report),
+        ("paper-example", "the paper's running example", (), _cmd_paper_example),
+        ("serve", "exploration daemon: HTTP/JSON with in-flight dedup, a "
+         "worker pool, and /metrics", (
+            _daemon_flags(
+                "bind address", "bind port (default: {port}; 0 picks a free port)"
+            ),
+            _arg("--workers", type=int, default=2, help="concurrent pool executions"),
+            _arg("--pool", default="process", choices=list(POOL_KINDS),
+                 help="worker pool backend (default: process)"),
+            _arg("--drain-timeout", type=float, default=None, metavar="S",
+                 help="cap on draining in-flight requests at shutdown (default: wait)"),
+            _arg("--manifest-out", metavar="MANIFEST",
+                 help="write a run manifest with serve counters on shutdown"),
+            _cache_flags,
+        ), _cmd_serve),
+        ("submit", "send an exploration request to a running daemon", (
+            _arg("traces", nargs="+", help="trace files"),
+            _arg("--mode", default="single",
+                 choices=["single", "sum", "each", "linesize"],
+                 help="exploration mode (default: single)"),
+            _arg("--budget", type=int, action="append",
+                 help="absolute miss budget K (repeatable)"),
+            _arg("--percent", type=float, action="append",
+                 help="K as percent of max misses (repeatable; single mode only)"),
+            _engine_flags,
+            _scenario_flags,
+            _daemon_flags("daemon address", "daemon port"),
+            _arg("--timeout", type=float, default=600.0, help="socket timeout seconds"),
+            _json("emit the report as JSON"),
+        ), _cmd_submit),
+        ("stream", "chunked/out-of-core exploration of one trace file, with "
+         "checkpoint warm-start when a cache directory is set", (
+            _arg("trace", help="trace file (read in chunks, never whole)"),
+            _arg("--budget", type=int, action="append",
+                 help="absolute miss budget K (repeatable; default: 0)"),
+            _arg("--max-level", type=int, default=None, metavar="L",
+                 help="deepest conflict level to maintain (default: address width)"),
+            _arg("--chunk-refs", type=int, default=DEFAULT_CHUNK_REFS, metavar="N",
+                 help=f"references per ingested chunk (default: {DEFAULT_CHUNK_REFS})"),
+            _arg("--address-bits", type=int, default=None, metavar="B",
+                 help="significant address width (required when the file format "
+                 "does not carry one, e.g. .din/.csv)"),
+            _arg("--include-depth-one", action="store_true",
+                 help="admit degenerate depth-1 instances into the answer set"),
+            _json("emit the results as JSON"),
+            _scenario_flags,
+            _cache_flags,
+        ), _cmd_stream),
+        ("sweep", "benchmark farm: run a declarative sweep spec through the "
+         "cell DAG scheduler and diff against committed baselines", (
+            _arg("spec", help="sweep spec YAML (repro-sweep-spec/1)"),
+            _arg("--plan", action="store_true",
+                 help="print the expanded plan JSON (byte-stable) and exit"),
+            _arg("--pool", default="process", choices=list(POOL_KINDS),
+                 help="cell executor backend (default: process; only process "
+                 "enforces per-cell timeouts by killing the worker)"),
+            _arg("--workers", type=int, default=None,
+                 help="concurrent cells (default: the spec's execution.workers)"),
+            _arg("--timeout", type=float, default=None, metavar="S",
+                 help="per-cell attempt deadline (default: the spec's)"),
+            _arg("--retries", type=int, default=None,
+                 help="re-executions before quarantine (default: the spec's)"),
+            _arg("--baseline-dir", default=".", metavar="DIR",
+                 help="directory holding the spec's BENCH_*.json baselines "
+                 "(default: current directory)"),
+            _arg("--tolerance", type=float, default=None,
+                 help="override the spec's regression tolerance"),
+            _arg("--fail-on-regression", action="store_true",
+                 help="exit non-zero when any cell regresses past tolerance"),
+            _output("write the report JSON here"),
+            _arg("--markdown", metavar="FILE",
+                 help="write the markdown trend table here"),
+            _arg("--manifest-out", metavar="MANIFEST",
+                 help="write an aggregate run manifest with sweep counters"),
+            _json("print the report JSON to stdout"),
+            _cache_flags,
+        ), _cmd_sweep),
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Construct the CLI argument parser.
+    """Construct the CLI argument parser: one subparser per table row.
 
     The epilog lists histogram engines straight from the registry
     (:func:`repro.core.engines.engine_names`), so ``repro --help`` can
     never drift from what the registry actually serves.
     """
-    from repro.core import engines as _engine_registry
-    from repro.trace import io as _trace_io
+    from repro.core import engines
 
-    engine_list = ", ".join(_engine_registry.engine_names())
+    engine_list = ", ".join(engines.engine_names())
     alias_list = ", ".join(
-        f"{alias} -> {target}"
-        for alias, target in sorted(_engine_registry.ALIASES.items())
+        f"{alias} -> {target}" for alias, target in sorted(engines.ALIASES.items())
     )
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1310,548 +1582,27 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("workloads", help="run & verify the benchmark kernels")
-    p.add_argument("--scale", default="default", help="tiny/small/default/large")
-    p.add_argument(
-        "--extras",
-        action="store_true",
-        help="include the PowerStone kernels beyond the paper's 12",
-    )
-    p.set_defaults(func=_cmd_workloads)
-
-    p = sub.add_parser("emit", help="write a workload trace to a file")
-    p.add_argument("name", help="workload name (e.g. crc)")
-    p.add_argument(
-        "--kind", choices=["inst", "data", "unified"], default="data"
-    )
-    p.add_argument("--scale", default="default")
-    p.add_argument("-o", "--output", required=True, help="output trace file")
-    p.set_defaults(func=_cmd_emit)
-
-    p = sub.add_parser("stats", help="trace statistics (paper Tables 5/6)")
-    p.add_argument("traces", nargs="+", help="trace files")
-    p.set_defaults(func=_cmd_stats)
-
-    p = sub.add_parser("explore", help="analytical exploration of a trace")
-    p.add_argument("trace", help="trace file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--budget", type=int, help="absolute miss budget K")
-    group.add_argument(
-        "--percent", type=float, help="K as percent of max misses"
-    )
-    p.add_argument("--max-depth", type=int, default=0, help="largest depth to report")
-    p.add_argument(
-        "--json", action="store_true", help="emit machine-readable JSON"
-    )
-    from repro.core import engines as _engines
-
-    p.add_argument(
-        "--engine",
-        default=_engines.AUTO_ENGINE,
-        choices=sorted(set(_engines.engine_names()) | set(_engines.ALIASES)),
-        help="histogram engine (default: auto)",
-    )
-    p.add_argument(
-        "--prelude",
-        default="auto",
-        choices=list(_engines.PRELUDE_MODES),
-        help="prelude builder: auto (fast is a synonym) runs the NumPy "
-        "kernels, or pure-Python fallbacks without NumPy; python runs "
-        "the paper-faithful builders (default: auto)",
-    )
-    p.add_argument(
-        "--profile",
-        metavar="MANIFEST",
-        help="record per-phase telemetry and write a run manifest JSON here",
-    )
-    _add_scenario_flags(p)
-    _add_cache_flags(p)
-    p.set_defaults(func=_cmd_explore)
-
-    p = sub.add_parser(
-        "profile", help="per-phase timing/memory telemetry for one run"
-    )
-    p.add_argument("trace", help="trace file")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--budget", type=int, help="absolute miss budget K")
-    group.add_argument(
-        "--percent",
-        type=float,
-        default=10.0,
-        help="K as percent of max misses (default: 10)",
-    )
-    p.add_argument(
-        "--engine",
-        default=_engines.AUTO_ENGINE,
-        choices=sorted(set(_engines.engine_names()) | set(_engines.ALIASES)),
-        help="histogram engine (default: auto)",
-    )
-    p.add_argument(
-        "--prelude",
-        default="auto",
-        choices=list(_engines.PRELUDE_MODES),
-        help="prelude builder: auto (fast is a synonym) runs the NumPy "
-        "kernels, or pure-Python fallbacks without NumPy; python runs "
-        "the paper-faithful builders (default: auto)",
-    )
-    p.add_argument(
-        "--no-memory",
-        action="store_true",
-        help="skip tracemalloc sampling (pure timing run)",
-    )
-    p.add_argument(
-        "--json",
-        action="store_true",
-        help="print the manifest JSON instead of the phase tree",
-    )
-    p.add_argument("-o", "--output", help="also write the manifest JSON here")
-    _add_cache_flags(p)
-    p.set_defaults(func=_cmd_profile)
-
-    p = sub.add_parser("engines", help="list the histogram engines")
-    p.set_defaults(func=_cmd_engines)
-
-    p = sub.add_parser(
-        "verify",
-        help="differential fuzzing oracle: engine x prelude x store grid "
-        "vs simulator + metamorphic invariants",
-    )
-    p.add_argument(
-        "--budget",
-        metavar="TIME",
-        help="wall-clock cap, e.g. 60s or 2m (default: anchors only)",
-    )
-    p.add_argument(
-        "--max-traces", type=int, help="stop after this many corpus traces"
-    )
-    p.add_argument("--seed", type=int, default=0, help="corpus seed")
-    p.add_argument(
-        "--engines",
-        nargs="+",
-        metavar="E",
-        choices=sorted(
-            set(_engines.engine_names(False)) | set(_engines.ALIASES)
-        ),
-        help="restrict the grid to these engines (default: all registered)",
-    )
-    p.add_argument(
-        "--preludes",
-        nargs="+",
-        metavar="P",
-        choices=list(_engines.PRELUDE_MODES),
-        help="restrict the grid to these prelude modes (default: all)",
-    )
-    p.add_argument(
-        "--no-warm",
-        action="store_true",
-        help="skip the warm-store half of the grid",
-    )
-    p.add_argument(
-        "--laws",
-        default="rotate",
-        choices=["rotate", "all", "none"],
-        help="metamorphic laws per trace: one (round-robin), all, or none",
-    )
-    p.add_argument(
-        "--policies",
-        nargs="+",
-        metavar="POLICY",
-        choices=list(_engines.policy_names()),
-        help="also run the policy oracle for these replacement policies "
-        "(policy engine vs simulator, every (D, A) cell)",
-    )
-    p.add_argument(
-        "--corpus-dir",
-        metavar="DIR",
-        help="failure corpus (replayed first, crashes persisted here; "
-        "default: $REPRO_VERIFY_CORPUS or .repro-verify-corpus)",
-    )
-    p.add_argument(
-        "--no-corpus",
-        action="store_true",
-        help="neither replay nor persist an on-disk failure corpus",
-    )
-    p.add_argument(
-        "--no-shrink",
-        action="store_true",
-        help="persist failing traces unshrunk",
-    )
-    p.add_argument(
-        "--fail-fast", action="store_true", help="stop at the first failure"
-    )
-    p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="PR-lane preset: the full 12-cell grid over 8 traces",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="emit the JSON report to stdout"
-    )
-    p.add_argument("-o", "--output", help="also write the JSON report here")
-    p.add_argument(
-        "--profile",
-        metavar="MANIFEST",
-        help="write a run manifest with verify counters here",
-    )
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("cache", help="manage the persistent artifact store")
-    p.add_argument(
-        "action",
-        choices=["stats", "clear", "prune"],
-        help="stats: summarize entries; clear: remove everything; "
-        "prune: evict LRU entries down to --max-bytes",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        help="store directory (default: REPRO_CACHE_DIR or the user cache dir)",
-    )
-    p.add_argument(
-        "--max-bytes",
-        type=int,
-        default=None,
-        help="prune target size in bytes (prune only; default: the "
-        "store's default cap)",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="emit stats as JSON (stats only)"
-    )
-    p.set_defaults(func=_cmd_cache)
-
-    p = sub.add_parser("simulate", help="simulate one cache configuration")
-    p.add_argument("trace", help="trace file")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--assoc", type=int, required=True)
-    p.add_argument("--line", type=int, default=1, help="line size in words")
-    p.add_argument(
-        "--replacement",
-        default="lru",
-        choices=[kind.value for kind in ReplacementKind],
-    )
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("compare", help="analytical vs traditional DSE")
-    p.add_argument("trace", help="trace file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--budget", type=int)
-    group.add_argument("--percent", type=float)
-    p.add_argument("--max-depth", type=int, default=0)
-    p.add_argument("--max-assoc", type=int, default=8)
-    p.set_defaults(func=_cmd_compare)
-
-    def add_budget_group(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--budget", type=int, help="absolute miss budget K")
-        group.add_argument(
-            "--percent", type=float, help="K as percent of max misses"
-        )
-
-    p = sub.add_parser("linesize", help="line-size sweep (paper future work)")
-    p.add_argument("trace", help="trace file")
-    add_budget_group(p)
-    p.add_argument(
-        "--lines",
-        type=int,
-        nargs="+",
-        default=[1, 2, 4, 8],
-        help="line sizes in words (powers of two)",
-    )
-    p.set_defaults(func=_cmd_linesize)
-
-    p = sub.add_parser("compact", help="Puzak trace stripping [14][15]")
-    p.add_argument("trace", help="input trace file")
-    p.add_argument("-o", "--output", required=True, help="output trace file")
-    p.add_argument(
-        "--filter-depth",
-        type=int,
-        default=2,
-        help="direct-mapped filter depth (validity floor)",
-    )
-    p.set_defaults(func=_cmd_compact)
-
-    p = sub.add_parser(
-        "robustness", help="LRU instances under FIFO/PLRU/random"
-    )
-    p.add_argument("trace", help="trace file")
-    add_budget_group(p)
-    p.set_defaults(func=_cmd_robustness)
-
-    p = sub.add_parser("cost", help="CACTI-style cost ranking of solutions")
-    p.add_argument("trace", help="trace file")
-    add_budget_group(p)
-    p.set_defaults(func=_cmd_cost)
-
-    p = sub.add_parser("phases", help="per-phase optima vs static")
-    p.add_argument("trace", help="trace file")
-    add_budget_group(p)
-    p.add_argument("--phases", type=int, default=4, help="number of phases")
-    p.set_defaults(func=_cmd_phases)
-
-    p = sub.add_parser("hierarchy", help="explore L2 behind a fixed L1")
-    p.add_argument("trace", help="trace file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--budget", type=int, help="L2 miss budget K")
-    group.add_argument(
-        "--percent", type=float, help="K as percent of L2's own max misses"
-    )
-    p.add_argument("--l1-depth", type=int, default=64)
-    p.add_argument("--l1-assoc", type=int, default=1)
-    p.set_defaults(func=_cmd_hierarchy)
-
-    p = sub.add_parser("conflicts", help="diagnose conflicting cache rows")
-    p.add_argument("trace", help="trace file")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--assoc", type=int, default=1)
-    p.add_argument("--top", type=int, default=10)
-    p.set_defaults(func=_cmd_conflicts)
-
-    p = sub.add_parser("curves", help="miss curves as CSV")
-    p.add_argument("trace", help="trace file")
-    p.add_argument(
-        "--depth",
-        type=int,
-        default=0,
-        help="fixed depth: emit the associativity curve (default: capacity curve)",
-    )
-    p.add_argument(
-        "--max-capacity", type=int, default=0, help="capacity-curve ceiling"
-    )
-    p.add_argument("-o", "--output", help="write CSV to a file")
-    p.set_defaults(func=_cmd_curves)
-
-    p = sub.add_parser("disasm", help="disassemble a workload kernel")
-    p.add_argument("name", help="workload name (e.g. crc)")
-    p.add_argument("--scale", default="default")
-    p.set_defaults(func=_cmd_disasm)
-
-    p = sub.add_parser("report", help="full markdown design report")
-    p.add_argument("trace", help="trace file")
-    p.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p.add_argument(
-        "--percent",
-        type=float,
-        default=10.0,
-        help="focus budget for sensitivity/cost sections",
-    )
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("paper-example", help="the paper's running example")
-    p.set_defaults(func=_cmd_paper_example)
-
-    from repro.serve.pool import POOL_KINDS as _pool_kinds
-    from repro.serve.server import DEFAULT_HOST as _serve_host
-    from repro.serve.server import DEFAULT_PORT as _serve_port
-
-    p = sub.add_parser(
-        "serve",
-        help="exploration daemon: HTTP/JSON with in-flight dedup, a "
-        "worker pool, and /metrics",
-    )
-    p.add_argument("--host", default=_serve_host, help="bind address")
-    p.add_argument(
-        "--port",
-        type=int,
-        default=_serve_port,
-        help=f"bind port (default: {_serve_port}; 0 picks a free port)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=2, help="concurrent pool executions"
-    )
-    p.add_argument(
-        "--pool",
-        default="process",
-        choices=list(_pool_kinds),
-        help="worker pool backend (default: process)",
-    )
-    p.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="cap on draining in-flight requests at shutdown (default: wait)",
-    )
-    p.add_argument(
-        "--manifest-out",
-        metavar="MANIFEST",
-        help="write a run manifest with serve counters on shutdown",
-    )
-    _add_cache_flags(p)
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "submit", help="send an exploration request to a running daemon"
-    )
-    p.add_argument("traces", nargs="+", help="trace files")
-    p.add_argument(
-        "--mode",
-        default="single",
-        choices=["single", "sum", "each", "linesize"],
-        help="exploration mode (default: single)",
-    )
-    p.add_argument(
-        "--budget",
-        type=int,
-        action="append",
-        help="absolute miss budget K (repeatable)",
-    )
-    p.add_argument(
-        "--percent",
-        type=float,
-        action="append",
-        help="K as percent of max misses (repeatable; single mode only)",
-    )
-    p.add_argument(
-        "--engine",
-        default=_engines.AUTO_ENGINE,
-        choices=sorted(set(_engines.engine_names()) | set(_engines.ALIASES)),
-        help="histogram engine (default: auto)",
-    )
-    p.add_argument(
-        "--prelude",
-        default="auto",
-        choices=list(_engines.PRELUDE_MODES),
-        help="prelude builder (default: auto)",
-    )
-    _add_scenario_flags(p)
-    p.add_argument("--host", default=_serve_host, help="daemon address")
-    p.add_argument(
-        "--port", type=int, default=_serve_port, help="daemon port"
-    )
-    p.add_argument(
-        "--timeout", type=float, default=600.0, help="socket timeout seconds"
-    )
-    p.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
-    p.set_defaults(func=_cmd_submit)
-
-    p = sub.add_parser(
-        "stream",
-        help="chunked/out-of-core exploration of one trace file, with "
-        "checkpoint warm-start when a cache directory is set",
-    )
-    p.add_argument("trace", help="trace file (read in chunks, never whole)")
-    p.add_argument(
-        "--budget",
-        type=int,
-        action="append",
-        help="absolute miss budget K (repeatable; default: 0)",
-    )
-    p.add_argument(
-        "--max-level",
-        type=int,
-        default=None,
-        metavar="L",
-        help="deepest conflict level to maintain (default: address width)",
-    )
-    p.add_argument(
-        "--chunk-refs",
-        type=int,
-        default=_trace_io.DEFAULT_CHUNK_REFS,
-        metavar="N",
-        help="references per ingested chunk "
-        f"(default: {_trace_io.DEFAULT_CHUNK_REFS})",
-    )
-    p.add_argument(
-        "--address-bits",
-        type=int,
-        default=None,
-        metavar="B",
-        help="significant address width (required when the file format "
-        "does not carry one, e.g. .din/.csv)",
-    )
-    p.add_argument(
-        "--include-depth-one",
-        action="store_true",
-        help="admit degenerate depth-1 instances into the answer set",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="emit the results as JSON"
-    )
-    _add_scenario_flags(p)
-    _add_cache_flags(p)
-    p.set_defaults(func=_cmd_stream)
-
-    p = sub.add_parser(
-        "sweep",
-        help="benchmark farm: run a declarative sweep spec through the "
-        "cell DAG scheduler and diff against committed baselines",
-    )
-    p.add_argument("spec", help="sweep spec YAML (repro-sweep-spec/1)")
-    p.add_argument(
-        "--plan",
-        action="store_true",
-        help="print the expanded plan JSON (byte-stable) and exit",
-    )
-    p.add_argument(
-        "--pool",
-        default="process",
-        choices=list(_pool_kinds),
-        help="cell executor backend (default: process; only process "
-        "enforces per-cell timeouts by killing the worker)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="concurrent cells (default: the spec's execution.workers)",
-    )
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-cell attempt deadline (default: the spec's)",
-    )
-    p.add_argument(
-        "--retries",
-        type=int,
-        default=None,
-        help="re-executions before quarantine (default: the spec's)",
-    )
-    p.add_argument(
-        "--baseline-dir",
-        default=".",
-        metavar="DIR",
-        help="directory holding the spec's BENCH_*.json baselines "
-        "(default: current directory)",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="override the spec's regression tolerance",
-    )
-    p.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="exit non-zero when any cell regresses past tolerance",
-    )
-    p.add_argument("-o", "--output", help="write the report JSON here")
-    p.add_argument(
-        "--markdown", metavar="FILE", help="write the markdown trend table here"
-    )
-    p.add_argument(
-        "--manifest-out",
-        metavar="MANIFEST",
-        help="write an aggregate run manifest with sweep counters",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="print the report JSON to stdout"
-    )
-    _add_cache_flags(p)
-    p.set_defaults(func=_cmd_sweep)
-
+    for name, summary, flags, handler in _commands():
+        p = sub.add_parser(name, help=summary)
+        for add in flags:
+            add(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    """CLI entry point: run the named command's handler.
+
+    An ``OSError`` or ``ValueError`` (a missing file, a negative budget,
+    a depth that is not a power of two) ends the run with
+    ``<command> failed: <message>`` on stderr and exit code 1.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -179,7 +179,11 @@ print("ok")
         [sys.executable, "-c", script],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"},
+        env={
+            "PYTHONPATH": SRC_DIR,
+            "PATH": "/usr/bin:/bin",
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
     )
     assert completed.returncode == 0, completed.stderr
     assert completed.stdout.strip() == "ok"

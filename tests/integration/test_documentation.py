@@ -60,6 +60,14 @@ class TestReadme:
         for command in mentioned:
             assert command in subcommands, command
 
+    def test_every_registered_cli_command_is_mentioned(self):
+        from repro.cli import _commands
+
+        readme = _read("README.md")
+        mentioned = set(re.findall(r"^repro ([a-z-]+)", readme, re.M))
+        for name, *_ in _commands():
+            assert name in mentioned, name
+
     def test_quickstart_code_runs(self):
         readme = _read("README.md")
         blocks = re.findall(r"```python\n(.*?)```", readme, re.S)

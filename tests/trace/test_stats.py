@@ -125,7 +125,11 @@ class TestNumpyAndLoopPaths:
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+            env={
+                "PYTHONPATH": src,
+                "PATH": "/usr/bin:/bin",
+                "PYTHONDONTWRITEBYTECODE": "1",
+            },
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.strip() == "False"

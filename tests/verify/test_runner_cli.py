@@ -159,6 +159,22 @@ class TestCli:
         assert "8 traces x 12 grid cells" in out  # the full grid
         assert "all cells bit-identical" in out
 
+    def test_summary_names_replay_entries_not_a_corpus(self, tmp_path, capsys):
+        """Built-in regressions are replayed too; only a loaded corpus is one."""
+        rc = main(["verify", "--max-traces", "1", "--no-corpus", "--laws", "none"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "replay entries (no on-disk corpus)" in out
+        assert "corpus entries replayed" not in out
+        rc = main(
+            ["verify", "--max-traces", "1", "--laws", "none",
+             "--corpus-dir", str(tmp_path / "corpus")]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "replay entries, " in out
+        assert "no on-disk corpus" not in out
+
     def test_json_output(self, capsys):
         rc = main(
             ["verify", "--max-traces", "3", "--no-corpus", "--json",
