@@ -69,6 +69,13 @@ _CHUNK_BYTES = 1 << 20
 #: chose no better on the PowerStone traces or the synthetic panel.
 FENWICK_MIN_UNIQUE = 560
 
+#: Widest identifier count whose rows dedup on an exact one-word key.
+#: A row of N' <= 58 identifiers holds bits 0..57 only, so ``row << 6``
+#: fits a ``uint64`` and leaves six bits for the identifier (< 58 < 64):
+#: the key ``row << 6 | identifier`` is the pair itself.  Set by the key
+#: width, not tuned.
+_EXACT_KEY_MAX_UNIQUE = 58
+
 
 @dataclass(eq=False)
 class PackedMRCT:
@@ -83,11 +90,13 @@ class PackedMRCT:
             produced this exact ``(identifier, conflict set)`` pair.
         n_unique: number of unique references (bit-vector width).
 
-    Rows are sorted lexicographically by ``(identifier, conflict
-    words)`` — the deterministic ``np.unique`` order — so equal inputs
-    produce byte-equal packed tables (stable store artifacts).  Trace
-    order is *not* preserved: the packed form is a weighted multiset,
-    which is exactly what the histogram postlude consumes.
+    The row order is an internal detail of the dedup (see
+    :func:`_dedup_rows`): by conflict row then identifier for one-word
+    rows of at most 58 identifiers, by content hash for wider rows, and
+    trace order when too few rows repeat to dedup.  Equal inputs give
+    equal tables, but the order is never stored and carries no meaning:
+    the packed form is a weighted multiset, which is exactly what the
+    histogram postlude consumes.
     """
 
     matrix: "object"
@@ -278,8 +287,8 @@ def build_packed_mrct(stripped: StrippedTrace, recorder=NULL_RECORDER) -> Packed
 
     Same kernel as :func:`build_mrct_fast`, but instead of expanding to
     bigints the per-occurrence rows are deduplicated by ``(identifier,
-    conflict words)`` via ``np.unique(axis=0)`` with occurrence counts
-    as integer weights.  Zero-conflict rows are kept — they carry the
+    conflict words)`` with occurrence counts as integer weights
+    (:func:`_dedup_rows`).  Zero-conflict rows are kept — they carry the
     distance-0 histogram mass.  ``recorder`` gets per-kernel phase
     timers (``prelude:conflict-rows``, ``prelude:dedup-rows``) for
     ``repro profile``.
@@ -385,17 +394,26 @@ def _groups_match(rows, idents, representative) -> bool:
 def _dedup_rows(rows, idents, n_unique) -> PackedMRCT:
     """Deduplicate per-occurrence rows into a weighted :class:`PackedMRCT`.
 
-    A vectorized content hash finds duplicate ``(identifier, row)``
-    pairs; hash groups are verified exactly against their first member
-    (a hash collision falls back to a full ``np.unique(axis=0)``), so
-    the result is always an exact weighted multiset of the input.  When
-    duplication is too scarce to pay for the dedup (under 1/8 of rows)
-    the rows are returned in trace order with unit weights — the time
-    saved outweighs the postlude's extra row work.  Otherwise each
-    distinct pair appears once, weighted
-    by its occurrence count, in a content-derived deterministic order —
-    equal traces yield byte-equal artifacts either way.  Row order
-    carries no meaning: the postlude re-sorts rows by BCAT position.
+    Each distinct ``(identifier, row)`` pair appears once, weighted by
+    its occurrence count, and every sort uses the narrowest key that is
+    still exact:
+
+    * One-word rows of at most ``_EXACT_KEY_MAX_UNIQUE`` identifiers are
+      keyed by the pair itself, ``row << 6 | identifier``, in one
+      ``uint64``; there is no hash and nothing to verify.  The pairs
+      come out in ascending key order: by conflict row, then identifier.
+    * Wider rows are grouped by a content hash (:func:`_row_hashes`)
+      under an unstable ``argsort``, and every group is checked exactly
+      against one of its members (:func:`_groups_match`); a hash
+      collision falls back to ``np.unique(axis=0)``.  The pairs come out
+      in ascending hash order.
+
+    When duplication is too scarce to pay for the dedup (under 1/8 of
+    rows) the rows are returned in trace order with unit weights — the
+    time saved outweighs the postlude's extra row work.  Equal inputs
+    yield equal tables either way.  Row order carries no meaning: the
+    postlude re-sorts rows by BCAT position, and the table is never
+    stored.
     """
     total = rows.shape[0]
     nwords = rows.shape[1]
@@ -404,21 +422,31 @@ def _dedup_rows(rows, idents, n_unique) -> PackedMRCT:
             matrix=rows, idents=idents, weights=_np.zeros(0, dtype=_np.int64),
             n_unique=n_unique,
         )
-    hashes = _row_hashes(rows, idents)
-    _, first, inverse, counts = _np.unique(
-        hashes, return_index=True, return_inverse=True, return_counts=True
-    )
-    # Dedup must pay for itself: the verification pass plus the gathers
-    # cost about as much as the postlude walking ~12% extra rows, so low
-    # duplication ships the rows as-is with unit weights.
-    if total - first.shape[0] < total // 8:
+    if n_unique <= _EXACT_KEY_MAX_UNIQUE:
+        keys = (rows[:, 0] << _np.uint64(6)) | idents.astype(_np.uint64)
+        distinct, counts = _np.unique(keys, return_counts=True)
+        if _too_few_duplicates(total, distinct.shape[0]):
+            return _unit_weights(rows, idents, n_unique)
         return PackedMRCT(
-            matrix=rows,
-            idents=idents,
-            weights=_np.ones(total, dtype=_np.int64),
+            matrix=(distinct >> _np.uint64(6)).reshape(-1, 1),
+            idents=(distinct & _np.uint64(63)).astype(_np.int64),
+            weights=counts.astype(_np.int64),
             n_unique=n_unique,
         )
-    if _groups_match(rows, idents, first[inverse]):
+    hashes = _row_hashes(rows, idents)
+    order = _np.argsort(hashes)
+    hashes = hashes[order]
+    starts = _np.empty(total, dtype=bool)
+    starts[0] = True
+    _np.not_equal(hashes[1:], hashes[:-1], out=starts[1:])
+    bounds = _np.flatnonzero(starts)
+    if _too_few_duplicates(total, bounds.shape[0]):
+        return _unit_weights(rows, idents, n_unique)
+    first = order[bounds]  # one member of each hash group
+    counts = _np.diff(bounds, append=total)
+    representative = _np.empty(total, dtype=_np.intp)
+    representative[order] = _np.repeat(first, counts)
+    if _groups_match(rows, idents, representative):
         return PackedMRCT(
             matrix=_np.ascontiguousarray(rows[first]),
             idents=_np.ascontiguousarray(idents[first]),
@@ -434,6 +462,23 @@ def _dedup_rows(rows, idents, n_unique) -> PackedMRCT:
         matrix=_np.ascontiguousarray(unique_combo[:, 1:]),
         idents=unique_combo[:, 0].astype(_np.int64),
         weights=exact_counts.astype(_np.int64),
+        n_unique=n_unique,
+    )
+
+
+def _too_few_duplicates(total: int, distinct: int) -> bool:
+    """Whether dedup would not pay for itself: the verification pass
+    plus the gathers cost about as much as the postlude walking ~12%
+    extra rows, so low duplication ships the rows as-is."""
+    return total - distinct < total // 8
+
+
+def _unit_weights(rows, idents, n_unique) -> PackedMRCT:
+    """The rows as they are, in trace order, each with weight 1."""
+    return PackedMRCT(
+        matrix=rows,
+        idents=idents,
+        weights=_np.ones(rows.shape[0], dtype=_np.int64),
         n_unique=n_unique,
     )
 

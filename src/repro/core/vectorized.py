@@ -270,16 +270,24 @@ def prepare_packed_walk(zerosets: ZeroOneSets, limit: int, packed: PackedMRCT):
     """Row-sort a :class:`PackedMRCT` into walk form.
 
     Returns ``(matrix, weights, row_keys, keys)`` with rows gathered in
-    ascending bit-reversed key order.
+    ascending bit-reversed key order.  With at most 2^16 identifiers the
+    rows are sorted by their key's ``uint16`` rank among the sorted
+    keys, which orders them as the keys do; NumPy's stable sort is a
+    radix sort at that width.
     """
     nprime = zerosets.n_unique
     nbytes = ((nprime + 63) // 64) * 8
     key = _bit_reversed_keys(zerosets, limit, nbytes)
+    keys = _np.sort(key)
     row_keys = key[packed.idents]
-    order = _np.argsort(row_keys, kind="stable")
+    if nprime <= 1 << 16:
+        rank = _np.searchsorted(keys, key).astype(_np.uint16)
+        order = _np.argsort(rank[packed.idents], kind="stable")
+    else:
+        order = _np.argsort(row_keys, kind="stable")
     matrix = _np.ascontiguousarray(packed.matrix[order])
     weights = packed.weights[order].astype(_np.float64)
-    return matrix, weights, row_keys[order], _np.sort(key)
+    return matrix, weights, row_keys[order], keys
 
 
 def compute_level_histograms_packed(

@@ -96,9 +96,11 @@ def strip_trace_numpy(trace: Trace) -> StrippedTrace:
     ``np.unique`` orders unique addresses by *value*; re-ranking the
     sorted uniques by their first-occurrence position recovers exactly
     the identifier assignment of :func:`strip_trace`, so the two are
-    interchangeable (property-tested).  Raises ``ImportError`` when
-    NumPy is unavailable — use :func:`strip_trace_auto` for the
-    dispatching front door.
+    interchangeable (property-tested).  Addresses spanning fewer than
+    2^16 words are sorted as ``uint16`` offsets from the smallest one,
+    where NumPy's stable sort is a radix sort; the result is the same.
+    Raises ``ImportError`` when NumPy is unavailable — use
+    :func:`strip_trace_auto` for the dispatching front door.
     """
     import numpy as np
 
@@ -107,9 +109,18 @@ def strip_trace_numpy(trace: Trace) -> StrippedTrace:
         return StrippedTrace(
             trace=trace, unique_addresses=[], id_of={}, id_sequence=array("l")
         )
-    sorted_unique, first_index, inverse = np.unique(
-        addresses, return_index=True, return_inverse=True
-    )
+    base = int(addresses.min())
+    if int(addresses.max()) - base < 1 << 16:
+        sorted_offsets, first_index, inverse = np.unique(
+            (addresses - base).astype(np.uint16),
+            return_index=True,
+            return_inverse=True,
+        )
+        sorted_unique = sorted_offsets.astype(np.int64) + base
+    else:
+        sorted_unique, first_index, inverse = np.unique(
+            addresses, return_index=True, return_inverse=True
+        )
     # Rank the value-sorted uniques by first occurrence: identifier k is
     # the k-th distinct address to appear, as in the hash-table strip.
     occurrence_order = np.argsort(first_index, kind="stable")

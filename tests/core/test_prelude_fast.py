@@ -154,12 +154,15 @@ class TestNumpyBuilders:
 def kernel_traces(draw):
     """Address lists aimed at the doubling kernel's edges.
 
-    Draws N' from the word boundaries (63, 64, 65) or anywhere up to two
-    words, optionally opens with every reference once (so N' is exact),
+    Draws N' from the word boundaries (63, 64, 65), the exact dedup key's
+    edge (57, 58, 59) or anywhere up to two words, optionally opens with
+    every reference once (so N' is exact),
     then mixes a random body with planted windows of length exactly
     ``2^k`` or ``2^k - 1`` (``k = 0`` plants an empty window).
     """
-    n_unique = draw(st.sampled_from([1, 2, 63, 64, 65]) | st.integers(1, 130))
+    n_unique = draw(
+        st.sampled_from([1, 2, 57, 58, 59, 63, 64, 65]) | st.integers(1, 130)
+    )
     addresses = list(range(n_unique)) if draw(st.booleans()) else []
     addresses += draw(st.lists(st.integers(0, n_unique - 1), max_size=200))
     for _ in range(draw(st.integers(0, 4))):
@@ -255,19 +258,87 @@ class TestDedupVerification:
         assert self._packed_bytes(split) == self._packed_bytes(whole)
 
     def test_mismatch_in_last_block_is_caught(self, monkeypatch):
-        """One group whose only differing member sits in the last block."""
+        """One group whose only differing member sits in the last block.
+
+        Two-word rows (N' = 65), so the hash path and its check run."""
         import numpy as np
 
-        rows = np.zeros((10, 1), dtype=np.uint64)
-        rows[-1, 0] = 1
+        rows = np.zeros((10, 2), dtype=np.uint64)
+        rows[-1, 1] = 1
         idents = np.zeros(10, dtype=np.int64)
-        monkeypatch.setattr(prelude_fast, "_CHUNK_BYTES", 8)  # one row
+        monkeypatch.setattr(prelude_fast, "_CHUNK_BYTES", 16)  # one row
         monkeypatch.setattr(
             prelude_fast, "_row_hashes",
             lambda rows, idents: np.zeros(rows.shape[0], dtype=np.uint64),
         )
-        packed = prelude_fast._dedup_rows(rows, idents, 1)
-        assert weighted_rows(packed) == {(0, 0): 9, (0, 1): 1}
+        packed = prelude_fast._dedup_rows(rows, idents, 65)
+        assert weighted_rows(packed) == {(0, 0): 9, (0, 1 << 64): 1}
+
+
+def top_bit_trace(n_unique):
+    """A trace over ``n_unique`` addresses whose conflict rows repeat and
+    hold the top identifier ``n_unique - 1`` (bit 57 at N' = 58)."""
+    rounds = [list(range(n_unique)) for _ in range(4)]
+    rounds.append(random_trace(400, n_unique, seed=n_unique).addresses)
+    return Trace([a for part in rounds for a in part], name=f"top-{n_unique}")
+
+
+@pytest.fixture
+def hash_calls(monkeypatch):
+    """Row counts of every ``_row_hashes`` call."""
+    calls = []
+    original = prelude_fast._row_hashes
+
+    def spy(rows, idents):
+        calls.append(rows.shape[0])
+        return original(rows, idents)
+
+    monkeypatch.setattr(prelude_fast, "_row_hashes", spy)
+    return calls
+
+
+@needs_numpy
+class TestDedupKeys:
+    """One-word rows of N' <= 58 dedup on the exact key ``row << 6 |
+    identifier``; wider rows on a verified hash."""
+
+    @pytest.mark.parametrize("n_unique", [57, 58, 59])
+    def test_key_width_edge(self, hash_calls, n_unique):
+        stripped = strip_trace(top_bit_trace(n_unique))
+        assert stripped.n_unique == n_unique
+        reference = occurrence_rows(build_mrct(stripped))
+        top = 1 << (n_unique - 1)
+        assert any(conflicts & top for _, conflicts in reference)
+        for packed in (
+            prelude_fast.build_packed_mrct(stripped),
+            prelude_fast.pack_mrct(build_mrct(stripped)),
+        ):
+            assert weighted_rows(packed) == reference
+            assert packed.n_rows < packed.total_conflict_sets  # dedup ran
+        assert bool(hash_calls) == (n_unique > 58)
+
+    @pytest.mark.parametrize(
+        "trace",
+        [t for t in PANEL if len(set(t.addresses)) <= 58],
+        ids=lambda t: t.name,
+    )
+    def test_one_word_path_never_hashes(self, hash_calls, trace):
+        stripped = strip_trace(trace)
+        packed = prelude_fast.build_packed_mrct(stripped)
+        assert weighted_rows(packed) == occurrence_rows(build_mrct(stripped))
+        assert hash_calls == []
+
+    def test_scarce_duplicates_keep_trace_order(self):
+        """Under 1/8 duplicates both paths ship the rows with unit weights."""
+        import numpy as np
+
+        for n_unique, nwords in ((40, 1), (100, 2)):
+            rows = np.arange(1, 17, dtype=np.uint64).reshape(16, 1)
+            rows = np.repeat(rows, nwords, axis=1)
+            idents = np.zeros(16, dtype=np.int64)
+            packed = prelude_fast._dedup_rows(rows, idents, n_unique)
+            assert packed.matrix is rows
+            assert packed.weights.tolist() == [1] * 16
 
 
 #: Every prelude builder a dispatcher may pick: (module, attribute).

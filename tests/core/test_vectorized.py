@@ -132,6 +132,34 @@ def test_level_walk_matches_serial(trace, max_level, block_bytes, words_per_run)
 
 
 @pytest.mark.skipif(not vec.numpy_available(), reason="needs numpy")
+@pytest.mark.parametrize("limit", [0, 3, 64])
+def test_rank_sort_orders_rows_as_the_keys_do(limit):
+    """Sorting rows by their key's uint16 rank is the stable argsort of
+    the uint64 keys themselves, shared keys included."""
+    import numpy as np
+
+    from repro.core.prelude_fast import build_packed_mrct
+
+    trace = Trace(
+        [(1 << 62) | 9, *zipf_trace(2000, 300, seed=4).addresses, 3 << 61],
+        address_bits=64,
+    )
+    stripped = strip_trace(trace)
+    zerosets = build_zero_one_sets(stripped)
+    packed = build_packed_mrct(stripped)
+    matrix, weights, row_keys, keys = vec.prepare_packed_walk(
+        zerosets, limit, packed
+    )
+    nbytes = packed.words * 8
+    key = vec._bit_reversed_keys(zerosets, limit, nbytes)
+    order = np.argsort(key[packed.idents], kind="stable")
+    assert (matrix == packed.matrix[order]).all()
+    assert (weights == packed.weights[order]).all()
+    assert (row_keys == key[packed.idents][order]).all()
+    assert (keys == np.sort(key)).all()
+
+
+@pytest.mark.skipif(not vec.numpy_available(), reason="needs numpy")
 def test_level_walk_on_full_width_addresses():
     """64 address bits: the root's key range spans the whole uint64."""
     trace = Trace(
