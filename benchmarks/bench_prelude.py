@@ -133,14 +133,14 @@ def _run_fast_pipeline(trace: Trace) -> Tuple[Dict[str, float], Dict]:
     start = time.perf_counter()
     stripped = strip_trace_numpy(trace)
     times["strip_s"] = time.perf_counter() - start
-    start = time.perf_counter()
-    zerosets = build_zero_one_sets_numpy(stripped)
-    times["zerosets_s"] = time.perf_counter() - start
+    # The packed walk reads its keys from the packed MRCT: the fast
+    # pipeline builds no zero/one sets.
+    times["zerosets_s"] = 0.0
     start = time.perf_counter()
     packed = build_packed_mrct(stripped)
     times["mrct_s"] = time.perf_counter() - start
     start = time.perf_counter()
-    histograms = compute_level_histograms_packed(zerosets, packed)
+    histograms = compute_level_histograms_packed(packed)
     times["postlude_s"] = time.perf_counter() - start
     return times, histograms
 

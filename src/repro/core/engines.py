@@ -287,13 +287,15 @@ class EngineInputs:
         if self._packed_mrct is None:
             from repro.core.prelude_fast import build_packed_mrct, pack_mrct
 
-            python = self.prelude == "python"
-            source = self.mrct if python else self.stripped
+            stripped = self.stripped
+            mrct = self.mrct if self.prelude == "python" else None
             with self.recorder.phase("prelude:packed-mrct"):
-                if python:
-                    packed = pack_mrct(source)
+                if mrct is None:
+                    packed = build_packed_mrct(stripped, recorder=self.recorder)
                 else:
-                    packed = build_packed_mrct(source, recorder=self.recorder)
+                    packed = pack_mrct(
+                        mrct, stripped.unique_addresses, stripped.address_bits
+                    )
                 self.recorder.record("conflict_sets", packed.total_conflict_sets)
                 self.recorder.record("packed_rows", packed.n_rows)
             self._packed_mrct = packed
@@ -462,7 +464,6 @@ def _run_vectorized(
     if not numpy_available():
         return _run_serial(inputs, max_level=max_level)
     return compute_level_histograms_packed(
-        inputs.zerosets,
         inputs.packed_mrct,
         max_level=max_level,
         recorder=inputs.recorder,

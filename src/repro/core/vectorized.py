@@ -8,29 +8,25 @@ on long traces.  This engine removes that driver loop:
 
 1. **Take** the MRCT as a :class:`~repro.core.prelude_fast.PackedMRCT`:
    one ``uint64`` bit-matrix row per distinct ``(identifier, conflict
-   set)`` pair, weighted by its occurrence count (column ``j`` =
-   reference with identifier ``j``, exactly the bigint layout, so
-   results are bit-identical by construction).  The fast prelude emits
+   set)`` pair, weighted by its occurrence count.  The fast prelude emits
    it directly; a bigint MRCT is packed by
    :func:`~repro.core.prelude_fast.pack_mrct`.  Loop-dominated embedded
    traces re-enter the same steady state every iteration, so the dedup
    routinely compresses the row count from O(N) to O(N').
-2. **Order** the rows by the *bit-reversed* low address bits of their
-   reference.  Under that order the members of every BCAT node occupy a
-   contiguous identifier range, hence every node's occurrences form one
-   contiguous row segment — the whole tree becomes range arithmetic.
-3. **Walk** the BCAT level by level without materializing it.  Each
-   block of rows goes down the tree in a scratch copy in which every row
-   is ANDed with the members of its current node.  At each level one
-   popcount and one weighted ``bincount`` over the block give that
-   level's counts; ``searchsorted`` over the sorted keys counts each
-   row's node members, and rows whose node has fewer than two members
-   are dropped; then every row is narrowed to its child node.  At the
-   shallow levels, where a few nodes hold many rows, a narrowing step is
-   one broadcast ``AND`` per node; below them it is one pass over the
-   block that flips the zero-bit mask with a per-row all-ones word where
-   the key bit is set.  There is no Python per occurrence, and none per
-   node below the shallow levels.
+2. **Columns are in BCAT order.**  The prelude numbers the columns by
+   the *bit-reversed* low address bits of their reference, so the
+   members of every BCAT node, at every level, are one contiguous column
+   range ``[lo, hi)``: level ``l`` groups references by the keys' top
+   ``l`` bits.  Each level's node bounds are found once, over the N'
+   sorted keys.
+3. **Count each level as a rank query.**  A row's distance at level
+   ``l`` is the popcount of its bits inside its own node's range,
+   ``rank(hi) - rank(lo)``, where ``rank(x)`` counts the row's bits
+   below column ``x``: a running popcount over whole words plus one
+   masked word.  One weighted ``bincount`` per level collects the
+   distances.  A row whose node has fewer than two members is dropped;
+   nodes nest, so it never counts again.  There is no Python per
+   occurrence or per node, and no level rewrites the matrix.
 
 When NumPy is missing the module stays importable and
 :func:`compute_level_histograms_vectorized` silently falls back to the
@@ -62,23 +58,11 @@ try:  # NumPy is optional: the engine falls back to the serial kernel.
 except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
 
-#: Byte budget for one row block of the BCAT walk.  The walk carries each
-#: block of the matrix through every level in two scratch buffers of this
-#: size, so its transient memory stays flat instead of scaling with the
-#: row count — at N=10^6 undeduplicated rows an unblocked pass would hold
-#: temporaries twice the matrix itself.  Sized to sit in L2 cache
-#: territory.
+#: Byte budget for one row block's running popcount.  The walk holds one
+#: ``int32`` count per matrix word for one block of rows at a time, so
+#: its transient memory stays flat instead of scaling with the row
+#: count.  Sized to sit in L2 cache territory.
 _WALK_BLOCK_BYTES = 4 * 1024 * 1024
-
-#: Where the walk stops narrowing node by node.  Narrowing one run of
-#: rows that share a child node is one broadcast ``AND`` plus a fixed
-#: Python cost; the level-wide pass instead builds a per-row mask for
-#: every word of the block.  A level whose block has at least this many
-#: words per run (the shallow levels, where a few nodes hold many rows)
-#: is narrowed run by run.
-_WORDS_PER_RUN = 4096
-
-_ALL_ONES = 0xFFFF_FFFF_FFFF_FFFF
 
 #: Prefer the hardware popcount ufunc (NumPy >= 2.0); older NumPy builds
 #: fall back to a byte lookup table.  Module-level so tests can force the
@@ -86,6 +70,13 @@ _ALL_ONES = 0xFFFF_FFFF_FFFF_FFFF
 _USE_BITWISE_COUNT = _np is not None and hasattr(_np, "bitwise_count")
 
 _BYTE_POPCOUNT = None  # lazy (N=256) lookup table for the fallback path
+
+#: ``_LOW_MASKS[k]`` keeps a word's ``k`` low bits, ``k`` in 0..64.
+_LOW_MASKS = (
+    None
+    if _np is None
+    else _np.array([(1 << k) - 1 for k in range(65)], dtype=_np.uint64)
+)
 
 
 def numpy_available() -> bool:
@@ -102,87 +93,105 @@ def _byte_popcount_table():
     return _BYTE_POPCOUNT
 
 
-def _row_popcounts(block):
-    """Per-row popcount of a ``(rows, W)`` uint64 block."""
+def _popcounts(words):
+    """Per-word popcount of a uint64 array, as ``uint8`` of its shape."""
     if _USE_BITWISE_COUNT:
-        # einsum sums the short uint8 rows ~1.5x faster than sum(axis=1).
-        return _np.einsum("ij->i", _np.bitwise_count(block), dtype=_np.int64)
+        return _np.bitwise_count(words)
     table = _byte_popcount_table()
-    return table[block.view(_np.uint8)].sum(axis=1, dtype=_np.int64)
+    per_byte = table[_np.ascontiguousarray(words).view(_np.uint8)]
+    return per_byte.reshape(*words.shape, 8).sum(axis=-1, dtype=_np.uint8)
 
 
-def _pack_bigint(value: int, nbytes: int):
-    """One Python bigint set -> aligned ``(nbytes // 8,)`` uint64 vector."""
-    return _np.frombuffer(value.to_bytes(nbytes, "little"), dtype=_np.uint64).copy()
+def _level_tables(packed: PackedMRCT, limit: int):
+    """Per-column rank-query tables for levels ``1..deepest``.
 
-
-def _bit_reversed_keys(zerosets: ZeroOneSets, limit: int, nbytes: int):
-    """Per-identifier sort key: the low ``limit`` address bits, reversed.
-
-    Sorting identifiers by this key makes every BCAT node a contiguous
-    identifier range: level ``l`` groups by bits ``0..l-1``, which are
-    the key's ``l`` most significant bits.  The bits are reconstructed
-    from the one-sets, so the engine needs nothing beyond the paper's
-    prelude products.
+    Level ``l``'s nodes are the runs of equal ``keys >> (address_bits -
+    l)`` in the sorted keys, so column ``c``'s node is a column range
+    ``[lo, hi)``.  Each level gives four per-column arrays: the words of
+    ``lo`` and ``hi`` (``hi``'s clamped to the last word, where all 64
+    bits count) and the low-bit masks of their offsets in those words.
+    ``depth[c]`` counts the levels at which column ``c``'s node has two
+    or more members; nodes only split going down, so those are levels
+    ``1..depth[c]``, and the tables stop after the last level that has
+    such a node.
     """
-    nprime = zerosets.n_unique
-    key = _np.zeros(nprime, dtype=_np.uint64)
-    for bit in range(limit):
-        ones = _np.frombuffer(
-            zerosets.one[bit].to_bytes(nbytes, "little"), dtype=_np.uint8
+    keys = packed.keys
+    nprime = keys.shape[0]
+    last_word = packed.words - 1
+    depth = _np.zeros(nprime, dtype=_np.int64)
+    starts = _np.empty(nprime, dtype=bool)
+    starts[0] = True
+    tables = []
+    for level in range(1, limit + 1):
+        prefix = keys >> _np.uint64(packed.address_bits - level)
+        _np.not_equal(prefix[1:], prefix[:-1], out=starts[1:])
+        edges = _np.flatnonzero(starts)
+        sizes = _np.diff(edges, append=nprime)
+        if sizes.max() < 2:
+            break
+        depth += _np.repeat(sizes >= 2, sizes)
+        lo = _np.repeat(edges, sizes)
+        hi = _np.repeat(edges + sizes, sizes)
+        hi_word = _np.minimum(hi >> 6, last_word)
+        tables.append(
+            (lo >> 6, _LOW_MASKS[lo & 63], hi_word, _LOW_MASKS[hi - (hi_word << 6)])
         )
-        column = _np.unpackbits(ones, bitorder="little", count=nprime)
-        key |= column.astype(_np.uint64) << _np.uint64(limit - 1 - bit)
-    return key
+    return tables, depth
 
 
-def _level_masks(sets, limit: int, nbytes: int):
-    """The first ``limit`` bigint split sets packed into a ``(limit, W)`` array."""
-    masks = _np.empty((limit, nbytes // 8), dtype=_np.uint64)
-    for bit in range(limit):
-        masks[bit] = _pack_bigint(sets[bit], nbytes)
-    return masks
+def _rank_walk(packed: PackedMRCT, limit: int, histograms) -> None:
+    """Every level's weighted distance counts, one row block at a time.
 
-
-def _walk_bit_matrix(
-    zerosets: ZeroOneSets,
-    limit: int,
-    matrix,
-    weights,
-    row_keys,
-    keys,
-    histograms: Dict[int, LevelHistogram],
-) -> None:
-    """Level-synchronous BCAT pass over a key-sorted weighted bit-matrix.
-
-    ``keys`` are every identifier's bit-reversed low ``limit`` address
-    bits, sorted; ``row_keys`` are the keys of the rows' identifiers,
-    ascending, so every BCAT node is one contiguous row segment.
-    ``weights`` are the rows' occurrence multiplicities.  Each row block
-    is carried through all levels at once (:func:`_walk_block`); the
-    result equals ``bcat.walk_bcat_sets`` with its pruning of nodes with
-    fewer than two members, and fills ``histograms`` in place.
+    Each block's words are read as one flat run with a running popcount
+    ``ranks`` (``ranks[i]`` counts the set bits in the block's words
+    before word ``i``).  A row's count of bits below column ``x`` is then
+    ``ranks[x's word] + popcount(x's word masked below x)``, less the
+    same count at the row's first word, which cancels in any difference
+    of two such counts within the row.  Level 0's node is every column,
+    so its distance is the row's popcount.  Below it, each live row
+    counts its bits inside its column's node ``[lo, hi)`` as
+    ``rank(hi) - rank(lo)`` (:func:`_level_tables`).  A row is dropped
+    at the first level where its node has fewer than two members.
     """
+    matrix = packed.matrix
     rows, words = matrix.shape
-    nbytes = words * 8
-    zero_masks = _level_masks(zerosets.zero, limit, nbytes)
-    one_masks = _level_masks(zerosets.one, limit, nbytes)
-    # Per-level accumulators; a conflict cardinality can never exceed N'-1.
-    level_counts = _np.zeros((limit + 1, zerosets.n_unique + 1), dtype=_np.int64)
-    block_rows = max(min(_WALK_BLOCK_BYTES // nbytes, rows), 1)
-    buffers = [_np.empty((block_rows, words), dtype=_np.uint64) for _ in range(2)]
+    tables, depth = _level_tables(packed, limit)
+    # Per-level accumulators; a conflict cardinality can never exceed
+    # N'-1.  Weights are occurrence multiplicities, far below 2**53, so
+    # the float64 sums of the weighted bincounts are exact integers.
+    level_counts = _np.zeros((len(tables) + 1, packed.n_unique + 1))
+    weights = packed.weights.astype(_np.float64)
+    block_rows = max(min(_WALK_BLOCK_BYTES // (4 * words), rows), 1)
+    ranks = _np.zeros(block_rows * words + 1, dtype=_np.int32)
     for start in range(0, rows, block_rows):
         end = min(start + block_rows, rows)
-        _walk_block(
-            matrix[start:end],
-            weights[start:end],
-            row_keys[start:end],
-            keys,
-            zero_masks,
-            one_masks,
-            level_counts,
-            buffers,
-        )
+        block = matrix[start:end].reshape(-1)
+        size = block.shape[0]
+        _np.cumsum(_popcounts(block), dtype=_np.int32, out=ranks[1 : size + 1])
+        row_ranks = ranks[: size + 1 : words]
+        block_weights = weights[start:end]
+        binned = _np.bincount(_np.diff(row_ranks), weights=block_weights)
+        level_counts[0, : len(binned)] += binned
+        columns = packed.idents[start:end]
+        row_depth = depth[columns]
+        drops = _np.bincount(row_depth, minlength=len(tables) + 1).tolist()
+        base = _np.arange(0, size, words, dtype=_np.int64)
+        for level, (lo_word, lo_mask, hi_word, hi_mask) in enumerate(tables, 1):
+            if drops[level - 1]:
+                kept = row_depth >= level
+                if not kept.any():
+                    break
+                columns = columns[kept]
+                row_depth = row_depth[kept]
+                block_weights = block_weights[kept]
+                base = base[kept]
+            high = base + hi_word[columns]
+            low = base + lo_word[columns]
+            distance = ranks[high] - ranks[low]
+            distance += _popcounts(block[high] & hi_mask[columns])
+            distance -= _popcounts(block[low] & lo_mask[columns])
+            binned = _np.bincount(distance, weights=block_weights)
+            level_counts[level, : len(binned)] += binned
     # Copy the dense per-level accumulators into sparse histograms.
     for level, accumulated in enumerate(level_counts):
         counts = histograms[level].counts
@@ -190,108 +199,7 @@ def _walk_bit_matrix(
             counts[int(distance)] = int(accumulated[distance])
 
 
-def _walk_block(
-    block, weights, block_keys, keys, zero_masks, one_masks, level_counts, buffers
-) -> None:
-    """Carry one key-sorted row block down the BCAT, one level per step.
-
-    ``live`` holds each row ANDed with the members of the row's node at
-    the current level, so its row popcounts are that level's distances.
-    At each level:
-
-    1. count every row's node members with ``searchsorted`` over
-       ``keys`` (once per distinct key), and drop the rows whose node
-       has fewer than two members — their subtrees count nothing;
-    2. add one weighted ``bincount`` of the row popcounts;
-    3. narrow every row to its child node: ``zero_masks[level]`` or
-       ``one_masks[level]`` by the key bit.  Where a few nodes hold many
-       rows this is one broadcast ``AND`` per run of equal bits; deeper
-       it is one pass that flips the zero mask with a per-row all-ones
-       word where the bit is set (the rows hold no bit outside their
-       node, so the flipped mask acts as the one mask).
-
-    Each step writes the other of the two ``buffers``, so the matrix
-    itself is never written.
-    """
-    limit = len(zero_masks)
-    new_key = _np.empty(len(block_keys), dtype=bool)
-    new_key[0] = True
-    _np.not_equal(block_keys[1:], block_keys[:-1], out=new_key[1:])
-    unique_keys = block_keys[new_key]
-    inverse = _np.cumsum(new_key) - 1  # row -> index into unique_keys
-    live = block
-    turn = 0
-    for level in range(limit + 1):
-        low = _np.uint64((1 << (limit - level)) - 1)
-        members = _np.searchsorted(keys, unique_keys | low, side="right")
-        members -= _np.searchsorted(keys, unique_keys & ~low, side="left")
-        kept = members >= 2
-        if not kept.all():
-            if not kept.any():
-                return
-            row_kept = kept[inverse]
-            out = buffers[turn][: int(_np.count_nonzero(row_kept))]
-            live = _np.compress(row_kept, live, axis=0, out=out)
-            turn ^= 1
-            weights = weights[row_kept]
-            inverse = (_np.cumsum(kept) - 1)[inverse[row_kept]]
-            unique_keys = unique_keys[kept]
-        # Weighted bincount: weights are occurrence multiplicities, far
-        # below 2**53, so the float64 sums are exact integers.
-        binned = _np.bincount(_row_popcounts(live), weights=weights)
-        level_counts[level, : len(binned)] += binned.astype(_np.int64)
-        if level == limit:
-            return
-        bits = (unique_keys >> _np.uint64(limit - 1 - level)) & _np.uint64(1)
-        edges = _np.flatnonzero(bits[1:] != bits[:-1]) + 1
-        out = buffers[turn][: len(live)]
-        turn ^= 1
-        if (len(edges) + 1) * _WORDS_PER_RUN <= live.size:
-            bounds = [0, *_np.searchsorted(inverse, edges).tolist(), len(live)]
-            bit = int(bits[0])
-            for lo, hi in zip(bounds[:-1], bounds[1:]):
-                mask = one_masks[level] if bit else zero_masks[level]
-                _np.bitwise_and(live[lo:hi], mask, out=out[lo:hi])
-                bit ^= 1
-        else:
-            flips = (bits * _np.uint64(_ALL_ONES))[inverse]
-            _np.bitwise_xor(zero_masks[level], flips[:, None], out=out)
-            out &= live
-        live = out
-
-
-def _level_limit(zerosets: ZeroOneSets, max_level: Optional[int]) -> int:
-    max_level = validate_max_level(max_level)
-    limit = zerosets.address_bits if max_level is None else max_level
-    return min(limit, zerosets.address_bits)
-
-
-def prepare_packed_walk(zerosets: ZeroOneSets, limit: int, packed: PackedMRCT):
-    """Row-sort a :class:`PackedMRCT` into walk form.
-
-    Returns ``(matrix, weights, row_keys, keys)`` with rows gathered in
-    ascending bit-reversed key order.  With at most 2^16 identifiers the
-    rows are sorted by their key's ``uint16`` rank among the sorted
-    keys, which orders them as the keys do; NumPy's stable sort is a
-    radix sort at that width.
-    """
-    nprime = zerosets.n_unique
-    nbytes = ((nprime + 63) // 64) * 8
-    key = _bit_reversed_keys(zerosets, limit, nbytes)
-    keys = _np.sort(key)
-    row_keys = key[packed.idents]
-    if nprime <= 1 << 16:
-        rank = _np.searchsorted(keys, key).astype(_np.uint16)
-        order = _np.argsort(rank[packed.idents], kind="stable")
-    else:
-        order = _np.argsort(row_keys, kind="stable")
-    matrix = _np.ascontiguousarray(packed.matrix[order])
-    weights = packed.weights[order].astype(_np.float64)
-    return matrix, weights, row_keys[order], keys
-
-
 def compute_level_histograms_packed(
-    zerosets: ZeroOneSets,
     packed: PackedMRCT,
     max_level: Optional[int] = None,
     recorder=NULL_RECORDER,
@@ -300,32 +208,42 @@ def compute_level_histograms_packed(
 
     Takes a :class:`~repro.core.prelude_fast.PackedMRCT` (from
     :func:`~repro.core.prelude_fast.build_packed_mrct` or
-    :func:`~repro.core.prelude_fast.pack_mrct`), reorders its rows under
-    the bit-reversed identifier permutation (a gather — the matrix itself
-    is consumed as-is), and walks the BCAT.  Histograms are
-    bit-identical to every other engine's.  Requires NumPy — a
-    ``PackedMRCT`` cannot exist without it.
+    :func:`~repro.core.prelude_fast.pack_mrct`), whose columns and keys
+    already give every BCAT node as a column range, and counts every
+    level by rank queries (:func:`_rank_walk`); the matrix is read
+    as-is.  Histograms are bit-identical to every other engine's.
+    Requires NumPy — a ``PackedMRCT`` cannot exist without it.
     """
     if _np is None:  # pragma: no cover - packed inputs imply NumPy
         raise RuntimeError("compute_level_histograms_packed requires NumPy")
-    nprime = zerosets.n_unique
-    if packed.n_unique != nprime:
-        raise ValueError(
-            f"packed MRCT covers {packed.n_unique} unique references, "
-            f"zero/one sets cover {nprime}"
-        )
-    limit = _level_limit(zerosets, max_level)
+    max_level = validate_max_level(max_level)
+    limit = packed.address_bits if max_level is None else max_level
+    limit = min(limit, packed.address_bits)
     histograms: Dict[int, LevelHistogram] = {
         level: LevelHistogram(level) for level in range(limit + 1)
     }
-    if nprime < 2 or packed.n_rows == 0:
+    if packed.n_unique < 2 or packed.n_rows == 0:
         return histograms
-
-    with recorder.phase("postlude:pack-rows"):
-        walk = prepare_packed_walk(zerosets, limit, packed)
     with recorder.phase("postlude:walk"):
-        _walk_bit_matrix(zerosets, limit, *walk, histograms)
+        _rank_walk(packed, limit, histograms)
     return histograms
+
+
+def _zeroset_addresses(zerosets: ZeroOneSets):
+    """Each identifier's low ``address_bits`` address bits, rebuilt from
+    the one-sets (bit ``b`` of identifier ``j`` is bit ``j`` of
+    ``one[b]``)."""
+    nprime = zerosets.n_unique
+    nbytes = (nprime + 7) // 8
+    addresses = _np.zeros(nprime, dtype=_np.uint64)
+    for bit, ones in enumerate(zerosets.one):
+        column = _np.unpackbits(
+            _np.frombuffer(ones.to_bytes(nbytes, "little"), dtype=_np.uint8),
+            bitorder="little",
+            count=nprime,
+        )
+        addresses |= column.astype(_np.uint64) << _np.uint64(bit)
+    return addresses
 
 
 def compute_level_histograms_vectorized(
@@ -336,14 +254,16 @@ def compute_level_histograms_vectorized(
 ) -> Dict[int, LevelHistogram]:
     """NumPy drop-in for :func:`~repro.core.postlude.compute_level_histograms`.
 
-    Packs the bigint MRCT (:func:`repro.core.prelude_fast.pack_mrct`)
-    and runs :func:`compute_level_histograms_packed` on it.  Falls back
-    to the serial bigint kernel when NumPy is not installed; either way
-    the returned histograms are bit-identical to the serial engine's.
+    Packs the bigint MRCT (:func:`repro.core.prelude_fast.pack_mrct`),
+    with the column order taken from the zero/one sets' addresses, and
+    runs :func:`compute_level_histograms_packed` on it.  Falls back to
+    the serial bigint kernel when NumPy is not installed; either way the
+    returned histograms are bit-identical to the serial engine's.
     """
     if _np is None:
         return compute_level_histograms(zerosets, mrct, max_level=max_level)
     max_level = validate_max_level(max_level)
+    packed = pack_mrct(mrct, _zeroset_addresses(zerosets), zerosets.address_bits)
     return compute_level_histograms_packed(
-        zerosets, pack_mrct(mrct), max_level=max_level, recorder=recorder
+        packed, max_level=max_level, recorder=recorder
     )

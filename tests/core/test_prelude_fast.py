@@ -185,14 +185,38 @@ def _phases(recorder):
         stack.extend(record.children)
 
 
-def weighted_rows(packed):
-    """A packed MRCT's rows as ``{(identifier, conflict set): weight}``."""
+def pair_counts(matrix, idents, weights, column_ids=None):
+    """Packed rows as ``{(identifier, conflict set): weight}``.
+
+    With ``column_ids`` every column (the row's own and each conflict
+    bit) maps back to its stripped identifier."""
+    ids = None if column_ids is None else column_ids.tolist()
     rows = {}
-    for row in range(packed.n_rows):
-        conflicts = int.from_bytes(packed.matrix[row].tobytes(), "little")
-        key = (int(packed.idents[row]), conflicts)
-        rows[key] = rows.get(key, 0) + int(packed.weights[row])
+    for row in range(matrix.shape[0]):
+        conflicts = int.from_bytes(matrix[row].tobytes(), "little")
+        ident = int(idents[row])
+        if ids is not None:
+            ident = ids[ident]
+            conflicts = sum(
+                1 << ids[column]
+                for column in range(conflicts.bit_length())
+                if conflicts >> column & 1
+            )
+        rows[(ident, conflicts)] = rows.get((ident, conflicts), 0) + int(weights[row])
     return rows
+
+
+def weighted_rows(packed):
+    """A packed MRCT's rows as ``{(identifier, conflict set): weight}``,
+    in stripped identifiers."""
+    return pair_counts(packed.matrix, packed.idents, packed.weights, packed.column_ids)
+
+
+def pack_reference(stripped):
+    """The ``python`` prelude's packing of ``stripped``."""
+    return prelude_fast.pack_mrct(
+        build_mrct(stripped), stripped.unique_addresses, stripped.address_bits
+    )
 
 
 def occurrence_rows(mrct):
@@ -271,8 +295,8 @@ class TestDedupVerification:
             prelude_fast, "_row_hashes",
             lambda rows, idents: np.zeros(rows.shape[0], dtype=np.uint64),
         )
-        packed = prelude_fast._dedup_rows(rows, idents, 65)
-        assert weighted_rows(packed) == {(0, 0): 9, (0, 1 << 64): 1}
+        matrix, idents, weights = prelude_fast._dedup_rows(rows, idents, 65)
+        assert pair_counts(matrix, idents, weights) == {(0, 0): 9, (0, 1 << 64): 1}
 
 
 def top_bit_trace(n_unique):
@@ -311,7 +335,7 @@ class TestDedupKeys:
         assert any(conflicts & top for _, conflicts in reference)
         for packed in (
             prelude_fast.build_packed_mrct(stripped),
-            prelude_fast.pack_mrct(build_mrct(stripped)),
+            pack_reference(stripped),
         ):
             assert weighted_rows(packed) == reference
             assert packed.n_rows < packed.total_conflict_sets  # dedup ran
@@ -336,9 +360,104 @@ class TestDedupKeys:
             rows = np.arange(1, 17, dtype=np.uint64).reshape(16, 1)
             rows = np.repeat(rows, nwords, axis=1)
             idents = np.zeros(16, dtype=np.int64)
-            packed = prelude_fast._dedup_rows(rows, idents, n_unique)
-            assert packed.matrix is rows
-            assert packed.weights.tolist() == [1] * 16
+            matrix, _, weights = prelude_fast._dedup_rows(rows, idents, n_unique)
+            assert matrix is rows
+            assert weights.tolist() == [1] * 16
+
+
+def reversed_low_bits(address, bits):
+    """``address``'s low ``bits`` bits in reverse order, as an integer."""
+    return int(format(address & ((1 << bits) - 1), f"0{bits}b")[::-1], 2)
+
+
+@needs_numpy
+class TestWalkOrder:
+    """Both preludes number the columns in bit-reversed address order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(addresses=kernel_traces(), shift=st.integers(0, 55))
+    @example(addresses=list(range(65)) * 2, shift=0)  # hi on a word boundary
+    @example(addresses=[(1 << 62) | 9, 9, (1 << 62) | 9, 9], shift=0)
+    def test_pack_mrct_equals_build_packed_mrct(self, addresses, shift):
+        """Same columns, keys and weighted rows from both preludes —
+        byte-equal whenever the rows dedup — and ``to_mrct`` gives back
+        the bigint MRCT in stripped identifiers.  ``shift`` spreads the
+        addresses over up to 63 bits."""
+        trace = Trace([a << shift | a for a in addresses], name="walk-order")
+        stripped = strip_trace(trace)
+        width = stripped.address_bits
+        fast = prelude_fast.build_packed_mrct(stripped)
+        python = pack_reference(stripped)
+        ids = fast.column_ids.tolist()
+        assert sorted(ids) == list(range(stripped.n_unique))
+        assert fast.keys.tolist() == [
+            reversed_low_bits(stripped.unique_addresses[i], width) for i in ids
+        ]
+        assert fast.keys.tolist() == sorted(fast.keys.tolist())
+        assert fast.address_bits == python.address_bits == width
+        assert (python.column_ids == fast.column_ids).all()
+        assert (python.keys == fast.keys).all()
+        reference = build_mrct(stripped)
+        assert weighted_rows(python) == weighted_rows(fast) == occurrence_rows(
+            reference
+        )
+        if fast.n_rows < fast.total_conflict_sets:  # dedup ran
+            assert python == fast
+        for packed in (fast, python):
+            expanded = packed.to_mrct()
+            assert expanded.n_unique == reference.n_unique
+            assert [sorted(sets) for sets in expanded.sets] == [
+                sorted(sets) for sets in reference.sets
+            ]
+
+    def test_nodes_are_column_ranges(self):
+        """At every level the references sharing their low address bits
+        hold one contiguous run of columns."""
+        stripped = strip_trace(zipf_trace(900, 150, seed=3))
+        packed = prelude_fast.build_packed_mrct(stripped)
+        addresses = [stripped.unique_addresses[i] for i in packed.column_ids]
+        for level in range(stripped.address_bits + 1):
+            sets = [address & ((1 << level) - 1) for address in addresses]
+            runs = [row for i, row in enumerate(sets) if i == 0 or sets[i - 1] != row]
+            assert len(runs) == len(set(sets))
+
+
+@needs_numpy
+class TestDedupSkip:
+    """Wide rows skip the hash when a projection of the pairs already
+    shows too few duplicates; the packed tables do not change."""
+
+    TRACES = [
+        random_trace(2000, 500, seed=1),  # projection skips the hash
+        zipf_trace(1500, 200, seed=7),  # hashed, then unit weights
+        markov_trace(3000, 300, locality=0.8, seed=2),  # deduplicated
+        top_bit_trace(59),
+    ]
+
+    @pytest.mark.parametrize("trace", TRACES, ids=lambda t: t.name)
+    def test_packed_bytes_unchanged(self, monkeypatch, trace):
+        stripped = strip_trace(trace)
+        skipped = prelude_fast.build_packed_mrct(stripped)
+        monkeypatch.setattr(prelude_fast, "_projection_count", lambda rows, idents: 0)
+        hashed = prelude_fast.build_packed_mrct(stripped)
+        assert skipped == hashed
+        assert weighted_rows(skipped) == occurrence_rows(build_mrct(stripped))
+
+    def test_unrepeated_rows_never_hash(self, hash_calls):
+        stripped = strip_trace(self.TRACES[0])
+        assert stripped.n_unique > 58
+        packed = prelude_fast.build_packed_mrct(stripped)
+        assert packed.weights.tolist() == [1] * packed.n_rows
+        assert hash_calls == []
+
+    def test_projection_bounds_distinct_pairs(self):
+        """Equal pairs project equal: the count never exceeds the
+        distinct pairs, even when the packing's fields overlap."""
+        import numpy as np
+
+        rows = np.array([[1, 0], [1, 0], [1 << 40, 0], [3, 7]], dtype=np.uint64)
+        idents = np.array([0, 0, 1 << 20, 5], dtype=np.int64)
+        assert prelude_fast._projection_count(rows, idents) <= 3
 
 
 #: Every prelude builder a dispatcher may pick: (module, attribute).
@@ -499,7 +618,7 @@ class TestFusedEngine:
         zerosets = build_zero_one_sets(stripped)
         reference = compute_level_histograms(zerosets, build_mrct(stripped))
         packed = build_packed_mrct(stripped)
-        assert compute_level_histograms_packed(zerosets, packed) == reference
+        assert compute_level_histograms_packed(packed) == reference
 
     @needs_numpy
     @pytest.mark.parametrize("max_level", [0, 2, 5])
@@ -514,23 +633,22 @@ class TestFusedEngine:
         )
         packed = build_packed_mrct(stripped)
         assert (
-            compute_level_histograms_packed(
-                zerosets, packed, max_level=max_level
-            )
+            compute_level_histograms_packed(packed, max_level=max_level)
             == reference
         )
 
     @needs_numpy
     def test_packed_rejects_mismatched_universe(self):
-        from repro.core.prelude_fast import build_packed_mrct
-        from repro.core.vectorized import compute_level_histograms_packed
+        """An MRCT packed under another trace's addresses is refused."""
+        from repro.core.vectorized import compute_level_histograms_vectorized
 
         a = strip_trace(zipf_trace(200, 40, seed=1))
         b = strip_trace(zipf_trace(200, 70, seed=2))
-        packed = build_packed_mrct(a)
         assert a.n_unique != b.n_unique
         with pytest.raises(ValueError, match="unique references"):
-            compute_level_histograms_packed(build_zero_one_sets(b), packed)
+            compute_level_histograms_vectorized(
+                build_zero_one_sets(b), build_mrct(a)
+            )
 
     @needs_numpy
     def test_fused_path_skips_bigint_mrct(self):
@@ -579,9 +697,9 @@ class TestFusedEngine:
         walked = []
         real_walk = vectorized.compute_level_histograms_packed
 
-        def spy(zerosets, packed, **kwargs):
+        def spy(packed, **kwargs):
             walked.append(packed)
-            return real_walk(zerosets, packed, **kwargs)
+            return real_walk(packed, **kwargs)
 
         monkeypatch.setattr(vectorized, "compute_level_histograms_packed", spy)
         histograms = engines.compute_histograms("vectorized", inputs)
@@ -614,7 +732,7 @@ class TestFusedEngine:
         """Both preludes hand the walk the same weighted multiset, and the
         ``python`` prelude's vectorized walk equals its serial one."""
         stripped = strip_trace(trace)
-        packed = prelude_fast.pack_mrct(build_mrct(stripped))
+        packed = pack_reference(stripped)
         assert weighted_rows(packed) == weighted_rows(
             prelude_fast.build_packed_mrct(stripped)
         )

@@ -1,10 +1,9 @@
 """The vectorized (NumPy bit-matrix) engine against the serial reference.
 
 Bit-identity on the paper's example and edge cases, both popcount code
-paths, the level walk under every block size and narrowing mode
-(Hypothesis), the NumPy-less fallback (in-process and in a real
-subprocess with ``import numpy`` failing, where ``auto`` resolves to
-``serial``).
+paths, the rank walk under every block size (Hypothesis), the NumPy-less
+fallback (in-process and in a real subprocess with ``import numpy``
+failing, where ``auto`` resolves to ``serial``).
 """
 
 import subprocess
@@ -13,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import vectorized as vec
 from repro.core.mrct import build_mrct
@@ -80,15 +79,26 @@ def test_byte_table_popcount_path(monkeypatch):
 
 @st.composite
 def walk_traces(draw):
-    """Traces for the level walk: reuse, loops (rows of weight > 1),
-    all-cold sequences and at most one unique address."""
-    bits = draw(st.integers(min_value=1, max_value=10))
+    """Traces for the rank walk: 1- to 63-bit addresses; reuse, loops
+    (rows of weight > 1), all-cold sequences, at most one unique address,
+    and N' in {63, 64, 65}, where a node's ``hi`` can fall on a word
+    boundary."""
+    bits = draw(st.integers(min_value=1, max_value=63))
+    kind = draw(st.sampled_from(["reuse", "loop", "cold", "single", "wide"]))
+    if kind == "wide":
+        bits = max(bits, 7)  # room for 65 distinct addresses
     top = (1 << bits) - 1
-    kind = draw(st.sampled_from(["reuse", "loop", "cold", "single"]))
     if kind == "single":
         addresses = [draw(st.integers(0, top))] * draw(st.integers(0, 6))
     elif kind == "cold":
         addresses = draw(st.lists(st.integers(0, top), unique=True, max_size=40))
+    elif kind == "wide":
+        size = draw(st.sampled_from([63, 64, 65]))
+        pool = draw(
+            st.lists(st.integers(0, top), min_size=size, max_size=size, unique=True)
+        )
+        addresses = pool + draw(st.lists(st.sampled_from(pool), max_size=60))
+        addresses = addresses * draw(st.integers(1, 2))
     else:
         pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=16))
         addresses = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=30))
@@ -100,63 +110,48 @@ def walk_traces(draw):
 @pytest.mark.skipif(not vec.numpy_available(), reason="needs numpy")
 @given(
     trace=walk_traces(),
-    max_level=st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+    max_level=st.sampled_from([None, 0, 2, "above"]),
     block_bytes=st.sampled_from([1, vec._WALK_BLOCK_BYTES]),
-    words_per_run=st.sampled_from([1, vec._WORDS_PER_RUN, 1 << 62]),
+    bitwise_count=st.booleans(),
+)
+@example(
+    trace=Trace(
+        [(1 << 62) | 9, 9, (1 << 62) | 9, 3 << 61, 9, (1 << 62) | 9] * 2,
+        address_bits=64,
+    ),
+    max_level=None,
+    block_bytes=1,
+    bitwise_count=True,
 )
 @settings(max_examples=200, deadline=None)
-def test_level_walk_matches_serial(trace, max_level, block_bytes, words_per_run):
-    """Both walk inputs (bigint and packed rows) equal the serial engine.
+def test_level_walk_matches_serial(trace, max_level, block_bytes, bitwise_count):
+    """The rank walk over both packings (the fast prelude's and the
+    packed bigint MRCT's) equals the serial engine.
 
-    ``block_bytes=1`` forces one row per block; ``words_per_run`` 1 and
-    2**62 force node-by-node and level-wide narrowing at every level.
+    ``max_level="above"`` bounds the walk past the address width;
+    ``block_bytes=1`` forces one row per block; ``bitwise_count=False``
+    takes the byte-table popcount.
     """
     from repro.core.prelude_fast import build_packed_mrct
 
+    if max_level == "above":
+        max_level = trace.address_bits + 1
     stripped = strip_trace(trace)
     zerosets = build_zero_one_sets(stripped)
     mrct = build_mrct(stripped)
     reference = compute_level_histograms(zerosets, mrct, max_level=max_level)
     packed = build_packed_mrct(stripped)
     with mock.patch.object(vec, "_WALK_BLOCK_BYTES", block_bytes), mock.patch.object(
-        vec, "_WORDS_PER_RUN", words_per_run
+        vec, "_USE_BITWISE_COUNT", bitwise_count and vec._USE_BITWISE_COUNT
     ):
         assert (
             compute_level_histograms_vectorized(zerosets, mrct, max_level=max_level)
             == reference
         )
         assert (
-            vec.compute_level_histograms_packed(zerosets, packed, max_level=max_level)
+            vec.compute_level_histograms_packed(packed, max_level=max_level)
             == reference
         )
-
-
-@pytest.mark.skipif(not vec.numpy_available(), reason="needs numpy")
-@pytest.mark.parametrize("limit", [0, 3, 64])
-def test_rank_sort_orders_rows_as_the_keys_do(limit):
-    """Sorting rows by their key's uint16 rank is the stable argsort of
-    the uint64 keys themselves, shared keys included."""
-    import numpy as np
-
-    from repro.core.prelude_fast import build_packed_mrct
-
-    trace = Trace(
-        [(1 << 62) | 9, *zipf_trace(2000, 300, seed=4).addresses, 3 << 61],
-        address_bits=64,
-    )
-    stripped = strip_trace(trace)
-    zerosets = build_zero_one_sets(stripped)
-    packed = build_packed_mrct(stripped)
-    matrix, weights, row_keys, keys = vec.prepare_packed_walk(
-        zerosets, limit, packed
-    )
-    nbytes = packed.words * 8
-    key = vec._bit_reversed_keys(zerosets, limit, nbytes)
-    order = np.argsort(key[packed.idents], kind="stable")
-    assert (matrix == packed.matrix[order]).all()
-    assert (weights == packed.weights[order]).all()
-    assert (row_keys == key[packed.idents][order]).all()
-    assert (keys == np.sort(key)).all()
 
 
 @pytest.mark.skipif(not vec.numpy_available(), reason="needs numpy")

@@ -65,12 +65,17 @@ class TestRunManifest:
             p for p in manifest.phases if p["name"].startswith("engine:")
         )
         child_names = [c["name"] for c in engine_phase["children"]]
-        # auto runs the fused vectorized path wherever NumPy is
-        assert child_names[:3] == [
-            "prelude:strip",
-            "prelude:zerosets",
-            "prelude:packed-mrct" if numpy_available() else "prelude:mrct",
-        ]
+        # auto runs the fused vectorized path wherever NumPy is; its
+        # walk reads the packed MRCT's own keys, not the zero/one sets
+        if numpy_available():
+            assert child_names[:2] == ["prelude:strip", "prelude:packed-mrct"]
+            assert "prelude:zerosets" not in child_names
+        else:
+            assert child_names[:3] == [
+                "prelude:strip",
+                "prelude:zerosets",
+                "prelude:mrct",
+            ]
 
     def test_explorer_manifest_counters_and_trace(self):
         manifest = _explored_manifest()

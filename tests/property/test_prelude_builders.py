@@ -90,11 +90,17 @@ def test_packed_matrix_is_weighted_mrct(trace):
             expected[(ident, conflicts)] = (
                 expected.get((ident, conflicts), 0) + 1
             )
+    # Columns are identifiers in bit-reversed address order: map the
+    # row's own column and every conflict bit back to stripped ids.
+    ids = packed.column_ids.tolist()
     actual = {}
     for row in range(packed.n_rows):
-        key = (
-            int(packed.idents[row]),
-            int.from_bytes(packed.matrix[row].tobytes(), "little"),
+        columns = int.from_bytes(packed.matrix[row].tobytes(), "little")
+        conflicts = sum(
+            1 << ids[column]
+            for column in range(columns.bit_length())
+            if columns >> column & 1
         )
+        key = (ids[int(packed.idents[row])], conflicts)
         actual[key] = actual.get(key, 0) + int(packed.weights[row])
     assert actual == expected
